@@ -18,8 +18,6 @@ from . import __version__
 from .extremal import (
     StabilityParams,
     band_violation,
-    extremal_degree_sum_local_search,
-    extremal_degree_sum_min,
     record_to_dict,
     records_to_csv,
     scan_m,
@@ -53,6 +51,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "csv", "text"], default="text")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
+    def add_search_flags(p):
+        p.add_argument("--mode", choices=["exhaustive", "canonical", "local-search"], default="exhaustive")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--restarts", type=int, default=4)
+        p.add_argument("--iter-budget", type=int, default=200)
+        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--max-graphs", type=int, default=None)
+
     p = sub.add_parser("turan", help="balanced r-partite part sizes and edge count")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -73,12 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--mode", choices=["exhaustive", "canonical", "local-search"], default="exhaustive")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--iter-budget", type=int, default=200)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--max-graphs", type=int, default=None)
+    add_search_flags(p)
     add_output_flags(p)
 
     p = sub.add_parser("scan", help="one extremal record per edge count in a range")
@@ -86,24 +87,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--m-from", type=int, required=True)
     p.add_argument("--m-to", type=int, required=True)
-    p.add_argument("--mode", choices=["exhaustive", "canonical", "local-search"], default="exhaustive")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--iter-budget", type=int, default=200)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--max-graphs", type=int, default=None)
+    add_search_flags(p)
     add_output_flags(p)
 
     p = sub.add_parser("stability", help="ratio table over the window just below the threshold")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--epsilon", required=True, help="exact rational, e.g. 1/4")
-    p.add_argument("--mode", choices=["exhaustive", "canonical", "local-search"], default="exhaustive")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--iter-budget", type=int, default=200)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--max-graphs", type=int, default=None)
+    add_search_flags(p)
     add_output_flags(p)
 
     p = sub.add_parser("verify", help="exhaustive greedy and band checks over all small graphs")
@@ -257,27 +248,20 @@ def _emit_records(records, args) -> int:
     return _records_exit(records)
 
 
-def _cmd_extremal(args) -> int:
-    if args.mode == "local-search":
-        rec = extremal_degree_sum_local_search(
-            args.n, args.m, args.r, seed=args.seed, restarts=args.restarts,
-            iter_budget=args.iter_budget,
-        )
-    else:
-        rec = extremal_degree_sum_min(
-            args.n, args.m, args.r, mode=args.mode, workers=args.workers,
-            max_graphs=args.max_graphs,
-        )
-    return _emit_records([rec], args)
-
-
-def _cmd_scan(args) -> int:
-    records = scan_m(
-        args.n, args.r, args.m_from, args.m_to, mode=args.mode, seed=args.seed,
+def _scan(args, m_from: int, m_to: int):
+    return scan_m(
+        args.n, args.r, m_from, m_to, mode=args.mode, seed=args.seed,
         restarts=args.restarts, iter_budget=args.iter_budget, workers=args.workers,
         max_graphs=args.max_graphs,
     )
-    return _emit_records(records, args)
+
+
+def _cmd_extremal(args) -> int:
+    return _emit_records(_scan(args, args.m, args.m), args)
+
+
+def _cmd_scan(args) -> int:
+    return _emit_records(_scan(args, args.m_from, args.m_to), args)
 
 
 def _cmd_stability(args) -> int:
@@ -310,16 +294,16 @@ def _cmd_verify(args) -> int:
     if args.format == "json":
         _emit_json(verify_report_to_dict(rep), args)
     elif args.format == "csv":
-        body = "n_max,r_set,mode,graphs_examined,cells,violations,cap_skips\n"
+        body = "n_max,r_set,mode,graphs_examined,cells,violations\n"
         body += (
             f"{rep.n_max},{' '.join(map(str, rep.r_set))},{rep.mode},"
-            f"{rep.graphs_examined},{rep.cells},{rep.violations},{rep.cap_skips}\n"
+            f"{rep.graphs_examined},{rep.cells},{rep.violations}\n"
         )
         _emit_csv(body, args)
     else:
         lines = [
             f"graphs_examined={rep.graphs_examined} cells={rep.cells} "
-            f"violations={rep.violations} cap_skips={rep.cap_skips}"
+            f"violations={rep.violations}"
         ]
         for ce in rep.counterexamples:
             lines.append(f"VIOLATION {ce}")

@@ -31,9 +31,6 @@ def enumerate_r_cliques(g: Graph, r: int) -> Iterator[VertexSet]:
     adj = g.adj
 
     def extend(chosen: int, count: int, cand: int) -> Iterator[int]:
-        if count == r:
-            yield chosen
-            return
         for v in _bits(cand):
             higher = cand & adj[v] & ~((1 << (v + 1)) - 1)
             if count + 1 == r:
@@ -41,12 +38,7 @@ def enumerate_r_cliques(g: Graph, r: int) -> Iterator[VertexSet]:
             else:
                 yield from extend(chosen | 1 << v, count + 1, higher)
 
-    full = g.full_mask
-    if r == 1:
-        for v in range(n):
-            yield VertexSet(1 << v, n)
-        return
-    for bits in extend(0, 0, full):
+    for bits in extend(0, 0, g.full_mask):
         yield VertexSet(bits, n)
 
 
@@ -55,6 +47,74 @@ def degree_sum(g: Graph, members: VertexSet) -> int:
     if members.n != g.n:
         raise ValueError(f"vertex set over {members.n} vertices used with n={g.n}")
     return sum(g.adj[v].bit_count() for v in _bits(members.bits))
+
+
+def _best_clique(
+    adj: tuple[int, ...] | list[int],
+    degs: tuple[int, ...] | list[int],
+    r: int,
+    abort_above: int | None = None,
+) -> tuple[int, int] | None:
+    """Kernel: the maximum degree sum over r-cliques and the lex-least clique attaining it.
+
+    Depth-first over cliques grown in increasing vertex order, walking
+    candidate bitmasks bit by bit.  Returns (value, clique bitmask), (0, 0)
+    when there is no r-clique, or None as soon as some r-clique's sum
+    exceeds ``abort_above``.  Among cliques of equal sum the one holding
+    the lowest vertex of their symmetric difference wins, which is the
+    lexicographic order of sorted vertex lists.
+    """
+    n = len(adj)
+    if r > n:
+        return 0, 0
+    limit = abort_above if abort_above is not None else sum(degs)  # no clique exceeds it
+    best = -1
+    best_bits = 0
+    if r == 2:
+        # pairs come in lexicographic order, so the first maximum is lex-least
+        for u in range(n):
+            du = degs[u]
+            w = adj[u] >> (u + 1) << (u + 1)
+            while w:
+                b = w & -w
+                w ^= b
+                s = du + degs[b.bit_length() - 1]
+                if s > best:
+                    if s > limit:
+                        return None
+                    best = s
+                    best_bits = 1 << u | b
+    else:
+        last = r - 1
+        stack = [(0, 0, (1 << n) - 1, 0)]  # (degree sum, size, candidates, members)
+        while stack:
+            acc, size, w, members = stack.pop()
+            if size == last:
+                while w:
+                    b = w & -w
+                    w ^= b
+                    s = acc + degs[b.bit_length() - 1]
+                    if s >= best:
+                        bits = members | b
+                        if s > best:
+                            if s > limit:
+                                return None
+                            best = s
+                            best_bits = bits
+                        else:
+                            diff = bits ^ best_bits
+                            if bits & diff & -diff:
+                                best_bits = bits
+            else:
+                need = last - size
+                while w:
+                    b = w & -w
+                    w ^= b
+                    v = b.bit_length() - 1
+                    cand = w & adj[v]  # w holds the candidates above v
+                    if cand.bit_count() >= need:
+                        stack.append((acc + degs[v], size + 1, cand, members | b))
+    return (best, best_bits) if best >= 0 else (0, 0)
 
 
 def max_clique_degree_sum(g: Graph, r: int) -> DegreeSumResult:
@@ -66,17 +126,8 @@ def max_clique_degree_sum(g: Graph, r: int) -> DegreeSumResult:
     """
     if r < 1:
         raise ValueError(f"clique size must be at least 1, got {r}")
-    degs = g.degrees()
-    best = -1
-    best_bits = 0
-    for clique in enumerate_r_cliques(g, r):
-        s = sum(degs[v] for v in _bits(clique.bits))
-        if s > best:
-            best = s
-            best_bits = clique.bits
-    if best < 0:
-        return DegreeSumResult(r=r, value=0, witness=None)
-    return DegreeSumResult(r=r, value=best, witness=VertexSet(best_bits, g.n))
+    value, bits = _best_clique(g.adj, g.degrees(), r)
+    return DegreeSumResult(r=r, value=value, witness=VertexSet(bits, g.n) if bits else None)
 
 
 def max_degree_sum_value(
@@ -85,47 +136,11 @@ def max_degree_sum_value(
     r: int,
     abort_above: int | None = None,
 ) -> int | None:
-    """Kernel: the value of max_clique_degree_sum on raw adjacency rows.
+    """The value of max_clique_degree_sum on raw adjacency rows.
 
     Returns None as soon as some r-clique's degree sum exceeds
     ``abort_above`` (callers scanning for minima over many graphs use
     this to skip graphs that cannot matter).  0 when no r-clique exists.
     """
-    n = len(adj)
-    if r > n:
-        return 0
-    if r == 1:
-        best = max(degs) if n else 0
-        if abort_above is not None and best > abort_above:
-            return None
-        return best
-    best = 0
-    found = False
-    if r == 2:
-        # edge endpoints have degree >= 1, so any edge beats the initial 0
-        for u in range(n):
-            row = adj[u] >> (u + 1) << (u + 1)
-            for v in _bits(row):
-                s = degs[u] + degs[v]
-                if s > best:
-                    best = s
-                    if abort_above is not None and best > abort_above:
-                        return None
-        return best
-    # general r >= 3: depth-first over increasing vertex indices
-    stack = [(0, 0, (1 << n) - 1)]
-    while stack:
-        acc, count, cand = stack.pop()
-        for v in _bits(cand):
-            s = acc + degs[v]
-            if count + 1 == r:
-                found = True
-                if s > best:
-                    best = s
-                    if abort_above is not None and best > abort_above:
-                        return None
-            else:
-                higher = cand & adj[v] & ~((1 << (v + 1)) - 1)
-                if higher:
-                    stack.append((s, count + 1, higher))
-    return best if found else 0
+    found = _best_clique(adj, degs, r, abort_above)
+    return None if found is None else found[0]

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -27,6 +26,7 @@ from .turan import turan_size
 
 EXHAUSTIVE_MAX_N = 7
 CANONICAL_MAX_N = 8
+MAX_WORKERS = 8  # worker processes one exact scan may start
 
 REGIME_BELOW = "below-threshold"
 REGIME_AT = "at-threshold"
@@ -55,6 +55,30 @@ def _slots(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
+def _labeled_adjs(
+    n: int, m: int, start: int = 0, stop: Optional[int] = None, canonical: bool = False
+) -> Iterator[list[int]]:
+    """Adjacency rows of the labeled (n, m)-graphs with lex ranks in [start, stop).
+
+    Ranks order the m-subsets of the edge slots (pairs (u, v) with u < v
+    in lexicographic order) lexicographically.  With ``canonical`` set,
+    a graph isomorphic to one already yielded is skipped.
+    """
+    slots = [(u, v, 1 << u, 1 << v) for u, v in _slots(n)]
+    seen: Optional[set] = set() if canonical else None
+    for combo in itertools.islice(itertools.combinations(slots, m), start, stop):
+        adj = [0] * n
+        for u, v, bu, bv in combo:
+            adj[u] |= bv
+            adj[v] |= bu
+        if seen is not None:
+            canon = tuple(_canonical_chunks(adj, n))
+            if canon in seen:
+                continue
+            seen.add(canon)
+        yield adj
+
+
 def enumerate_graphs(n: int, m: int) -> Iterator[Graph]:
     """Every labeled graph on n vertices with exactly m edges, each once.
 
@@ -68,15 +92,10 @@ def enumerate_graphs(n: int, m: int) -> Iterator[Graph]:
             f"exhaustive enumeration capped at n={CANONICAL_MAX_N}; "
             "use canonical or local-search modes for larger graphs"
         )
-    slots = _slots(n)
-    if m < 0 or m > len(slots):
-        raise ValueError(f"edge count {m} outside 0..{len(slots)}")
-    for combo in itertools.combinations(range(len(slots)), m):
-        adj = [0] * n
-        for idx in combo:
-            u, v = slots[idx]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+    nslots = n * (n - 1) // 2
+    if m < 0 or m > nslots:
+        raise ValueError(f"edge count {m} outside 0..{nslots}")
+    for adj in _labeled_adjs(n, m):
         yield Graph._raw(n, tuple(adj))
 
 
@@ -173,36 +192,12 @@ def graph_from_triangle_bits(n: int, bits: str) -> Graph:
     return Graph._raw(n, tuple(adj))
 
 
+def _graph_from_chunks(n: int, chunks) -> Graph:
+    return graph_from_triangle_bits(n, _render_chunks(list(chunks)))
+
+
 # ---------------------------------------------------------------------------
 # exhaustive minimum
-
-
-def _combo_unrank(nslots: int, m: int, rank: int) -> list[int]:
-    combo = []
-    c = 0
-    for pos in range(m):
-        while True:
-            cnt = math.comb(nslots - c - 1, m - pos - 1)
-            if rank < cnt:
-                combo.append(c)
-                c += 1
-                break
-            rank -= cnt
-            c += 1
-    return combo
-
-
-def _combo_next(combo: list[int], nslots: int) -> bool:
-    m = len(combo)
-    i = m - 1
-    while i >= 0 and combo[i] == nslots - m + i:
-        i -= 1
-    if i < 0:
-        return False
-    combo[i] += 1
-    for j in range(i + 1, m):
-        combo[j] = combo[j - 1] + 1
-    return True
 
 
 def _min_scan_range(args) -> tuple[Optional[int], Optional[tuple[int, ...]], int]:
@@ -212,45 +207,10 @@ def _min_scan_range(args) -> tuple[Optional[int], Optional[tuple[int, ...]], int
     graphs examined).  Top-level so it can run in worker processes.
     """
     n, m, r, start, count, mode = args
-    slots = _slots(n)
-    nslots = len(slots)
     best_val: Optional[int] = None
     best_canon: Optional[tuple[int, ...]] = None
-    examined = 0
-    seen: Optional[set] = set() if mode == "canonical" else None
-
-    full_space = start == 0 and count == math.comb(nslots, m)
-    if full_space:
-        combos: Iterator = itertools.combinations(range(nslots), m)
-    else:
-        combos = _range_combos(nslots, m, start, count)
-
-    for combo in combos:
-        examined += 1
-        adj = [0] * n
-        for idx in combo:
-            u, v = slots[idx]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        degs = [a.bit_count() for a in adj]
-        if seen is not None:
-            canon = tuple(_canonical_chunks(adj, n))
-            if canon in seen:
-                continue
-            seen.add(canon)
-        if r == 2:
-            # every edge endpoint has degree >= 1, so 0 doubles as "no edge"
-            val: Optional[int] = 0
-            for idx in combo:
-                u, v = slots[idx]
-                s = degs[u] + degs[v]
-                if s > val:
-                    val = s
-                    if best_val is not None and val > best_val:
-                        val = None
-                        break
-        else:
-            val = max_degree_sum_value(adj, degs, r, abort_above=best_val)
+    for adj in _labeled_adjs(n, m, start, start + count, mode == "canonical"):
+        val = max_degree_sum_value(adj, list(map(int.bit_count, adj)), r, abort_above=best_val)
         if val is None:
             continue
         if best_val is None or val < best_val:
@@ -260,15 +220,7 @@ def _min_scan_range(args) -> tuple[Optional[int], Optional[tuple[int, ...]], int
             better = _canonical_chunks(adj, n, bound=best_canon)
             if better is not None:
                 best_canon = tuple(better)
-    return best_val, best_canon, examined
-
-
-def _range_combos(nslots: int, m: int, start: int, count: int) -> Iterator[tuple[int, ...]]:
-    combo = _combo_unrank(nslots, m, start)
-    for _ in range(count):
-        yield tuple(combo)
-        if not _combo_next(combo, nslots):
-            break
+    return best_val, best_canon, count
 
 
 def _shard_bounds(total: int, workers: int) -> list[tuple[int, int]]:
@@ -285,8 +237,7 @@ def _regime(m: int, r: int, n: int) -> str:
     return REGIME_ABOVE
 
 
-def _make_record(n, m, r, mode, value, canon_chunks, examined) -> ScanRecord:
-    witness = graph_from_triangle_bits(n, _render_chunks(list(canon_chunks)))
+def _make_record(n, m, r, mode, value, witness: Graph, examined) -> ScanRecord:
     ratio = Fraction(2 * r * m, n)
     return ScanRecord(
         n=n,
@@ -340,16 +291,22 @@ def extremal_degree_sum_min(
         raise ResourceLimitError(f"{total} graphs exceed max-graphs limit {max_graphs}")
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
+    if workers > MAX_WORKERS:
+        raise ResourceLimitError(f"worker count {workers} exceeds cap {MAX_WORKERS}")
     if workers == 1 or total < 2 * workers:
         parts = [_min_scan_range((n, m, r, 0, total, mode))]
     else:
+        # imported here: loading multiprocessing adds about 1.5 MB to the
+        # resident size of every process, and single-worker scans never need it
+        from concurrent.futures import ProcessPoolExecutor
+
         jobs = [(n, m, r, lo, cnt, mode) for lo, cnt in _shard_bounds(total, workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_min_scan_range, jobs))
     examined = sum(p[2] for p in parts)
     candidates = [(p[0], p[1]) for p in parts if p[0] is not None]
     value, canon = min(candidates)
-    return _make_record(n, m, r, mode, value, canon, examined)
+    return _make_record(n, m, r, mode, value, _graph_from_chunks(n, canon), examined)
 
 
 # ---------------------------------------------------------------------------
@@ -507,26 +464,10 @@ def extremal_degree_sum_local_search(
                 best_val, best_key = cur_val, cur_key
 
     if n <= CANONICAL_MAX_N:
-        canon = best_key
-    else:
-        canon = None
-    if canon is not None:
-        witness = graph_from_triangle_bits(n, _render_chunks(list(canon)))
+        witness = _graph_from_chunks(n, best_key)
     else:
         witness = Graph._raw(n, tuple(best_key))
-    ratio = Fraction(2 * r * m, n)
-    return ScanRecord(
-        n=n,
-        m=m,
-        r=r,
-        mode="local-search",
-        delta_min=best_val,
-        witness_g6=to_graph6(witness),
-        ratio_num=ratio.numerator,
-        ratio_den=ratio.denominator,
-        graphs_examined=evals,
-        regime=_regime(m, r, n),
-    )
+    return _make_record(n, m, r, "local-search", best_val, witness, evals)
 
 
 # ---------------------------------------------------------------------------
@@ -665,21 +606,16 @@ def stability_experiment(
     """
     r, n = params.r, params.n
     upper = turan_size(r, n)
-    lo = max(params.m_threshold + 1, 1)
+    records = scan_m(
+        n, r, max(params.m_threshold + 1, 1), upper, mode=mode, seed=seed,
+        restarts=restarts, iter_budget=iter_budget, workers=workers, max_graphs=max_graphs,
+    )
     rows = []
-    for m in range(lo, upper + 1):
-        if mode == "local-search":
-            rec = extremal_degree_sum_local_search(
-                n, m, r, seed=seed, restarts=restarts, iter_budget=iter_budget
-            )
-        else:
-            rec = extremal_degree_sum_min(
-                n, m, r, mode=mode, workers=workers, max_graphs=max_graphs
-            )
-        ratio = Fraction(rec.delta_min * n, 2 * r * m)
+    for rec in records:
+        ratio = Fraction(rec.delta_min * n, 2 * r * rec.m)
         rows.append(
             StabilityRow(
-                m=m,
+                m=rec.m,
                 delta_min=rec.delta_min,
                 ratio_num=ratio.numerator,
                 ratio_den=ratio.denominator,
@@ -711,7 +647,6 @@ class VerifyReport:
     cells: int
     violations: int
     counterexamples: tuple[dict, ...]
-    cap_skips: int
     skipped_pairs: tuple[tuple[int, int], ...]
 
 
@@ -744,31 +679,18 @@ def verify_all(
         rs = [r for r in rs_all if r <= n]
         if not rs:
             continue
-        slots = _slots(n)
+        nslots = n * (n - 1) // 2
         thresholds = {r: turan_size(r, n) for r in rs}
         m_lo = min(thresholds.values())
-        for m in range(m_lo, len(slots) + 1):
+        for m in range(m_lo, nslots + 1):
             active = [r for r in rs if thresholds[r] <= m]
-            if not active:
-                continue
-            if max_graphs is not None and math.comb(len(slots), m) > max_graphs:
+            if max_graphs is not None and math.comb(nslots, m) > max_graphs:
                 raise ResourceLimitError(
                     f"cell n={n} m={m} exceeds max-graphs limit {max_graphs}"
                 )
             cell_min: dict[int, Optional[int]] = {r: None for r in active}
-            seen: Optional[set] = set() if mode == "canonical" else None
-            for combo in itertools.combinations(range(len(slots)), m):
-                adj = [0] * n
-                for idx in combo:
-                    u, v = slots[idx]
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-                if seen is not None:
-                    canon = tuple(_canonical_chunks(adj, n))
-                    if canon in seen:
-                        continue
-                    seen.add(canon)
-                degs = [a.bit_count() for a in adj]
+            for adj in _labeled_adjs(n, m, canonical=mode == "canonical"):
+                degs = list(map(int.bit_count, adj))
                 regular = min(degs) == max(degs)
                 for r in active:
                     graphs_examined += 1
@@ -830,7 +752,6 @@ def verify_all(
         cells=cells,
         violations=len(counterexamples),
         counterexamples=tuple(counterexamples),
-        cap_skips=0,
         skipped_pairs=skipped,
     )
 
@@ -905,6 +826,5 @@ def verify_report_to_dict(rep: VerifyReport) -> dict:
         "cells": rep.cells,
         "violations": rep.violations,
         "counterexamples": list(rep.counterexamples),
-        "cap_skips": rep.cap_skips,
         "skipped_pairs": [list(p) for p in rep.skipped_pairs],
     }

@@ -85,32 +85,23 @@ def from_graph6(text: str, cap: int = VERTEX_CAP) -> Graph:
         )
     if len(s) - body_at > nchars:
         raise Graph6ParseError("trailing bytes after bit field", body_at + nchars)
+    pad = 6 * nchars - nbits
+    if (ord(s[-1]) - 63) & ((1 << pad) - 1):
+        raise Graph6ParseError("nonzero padding bits", len(s) - 1)
     adj = [0] * n
-    bit_index = 0
-    for k in range(nchars):
-        group = ord(s[body_at + k]) - 63
+    i, j = 0, 1  # the slot of the next bit, in column order
+    for k in range(body_at, len(s)):
+        group = ord(s[k]) - 63
         for b in range(5, -1, -1):
-            bit = group >> b & 1
-            if bit_index >= nbits:
-                if bit:
-                    raise Graph6ParseError("nonzero padding bits", body_at + k)
-                bit_index += 1
-                continue
-            if bit:
-                i, j = _triangle_position(bit_index)
+            if j == n:
+                break
+            if group >> b & 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-            bit_index += 1
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
     return Graph._raw(n, tuple(adj))
-
-
-def _triangle_position(index: int) -> tuple[int, int]:
-    """Map a column-order upper-triangle bit index to its (i, j) pair, i < j."""
-    j = 1
-    while _triangle_bit_count(j + 1) <= index:
-        j += 1
-    i = index - _triangle_bit_count(j)
-    return i, j
 
 
 def to_edge_list_text(g: Graph) -> str:

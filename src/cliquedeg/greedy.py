@@ -108,28 +108,29 @@ def all_greedy_sequences(g: Graph, branch_cap: int = DEFAULT_BRANCH_CAP) -> list
     return out
 
 
-def greedy_prefix_extremes(
+def _prefix_search(
     adj: tuple[int, ...] | list[int],
     degs: tuple[int, ...] | list[int],
     r: int,
-) -> tuple[Optional[int], Optional[int], Optional[int]]:
-    """Kernel: scan all tie branches to depth r by deduplicating prefix sets.
+) -> tuple[Optional[int], Optional[int], Optional[int], list[dict[int, tuple[int, int]]]]:
+    """Scan all tie branches to depth r by deduplicating prefix sets.
 
-    Returns (shortest_stop, min_sum, max_sum) where shortest_stop is the
-    length of the shortest maximal sequence that stops before r vertices
-    (None when every branch reaches depth r), and min_sum/max_sum range
-    over the first-r degree sums of branches that reach depth r (None
-    when none does).
+    Returns (shortest_stop, min_sum, max_sum, levels) where shortest_stop
+    is the length of the shortest maximal sequence that stops before r
+    vertices (None when every branch reaches depth r), min_sum/max_sum
+    range over the first-r degree sums of branches that reach depth r
+    (None when none does), and levels[k] maps each k-vertex set that some
+    branch chooses first to (candidates, degree sum).
     """
     n = len(adj)
-    full = (1 << n) - 1
-    level: dict[int, tuple[int, int]] = {0: (full, 0)}
+    level: dict[int, tuple[int, int]] = {0: ((1 << n) - 1, 0)}
+    levels = [level]
     shortest_stop: Optional[int] = None
     for depth in range(r):
         nxt: dict[int, tuple[int, int]] = {}
         for state, (cand, acc) in level.items():
             if not cand:
-                if shortest_stop is None or depth < shortest_stop:
+                if shortest_stop is None:
                     shortest_stop = depth
                 continue
             best = -1
@@ -150,43 +151,40 @@ def greedy_prefix_extremes(
                 ns = state | 1 << v
                 if ns not in nxt:
                     nxt[ns] = (cand & adj[v], acc2)
+        if not nxt:
+            return shortest_stop, None, None, levels
         level = nxt
-        if not level:
-            return shortest_stop, None, None
+        levels.append(level)
     sums = [acc for (_, acc) in level.values()]
-    return shortest_stop, min(sums), max(sums)
+    return shortest_stop, min(sums), max(sums), levels
 
 
-def _best_sequence_witness(g: Graph, r: int) -> tuple[int, tuple[int, ...]]:
-    """Max first-r degree sum over all tie branches, with one ordered witness run."""
-    adj = g.adj
-    degs = g.degrees()
-    level: dict[int, tuple[int, int]] = {0: (g.full_mask, 0)}
-    parents: dict[int, tuple[int, int]] = {}
-    for _ in range(r):
-        nxt: dict[int, tuple[int, int]] = {}
-        for state in sorted(level):
-            cand, acc = level[state]
-            if not cand:
-                continue
-            best = max(degs[v] for v in _bits(cand))
-            for v in _bits(cand):
-                if degs[v] != best:
-                    continue
-                ns = state | 1 << v
-                if ns not in nxt:
-                    nxt[ns] = (cand & adj[v], acc + best)
-                    parents[ns] = (state, v)
-        level = nxt
-    best_state = max(sorted(level), key=lambda s: level[s][1])
-    best_sum = level[best_state][1]
-    seq: list[int] = []
-    state = best_state
-    while state:
-        state, v = parents[state]
-        seq.append(v)
-    seq.reverse()
-    return best_sum, tuple(seq)
+def greedy_prefix_extremes(
+    adj: tuple[int, ...] | list[int],
+    degs: tuple[int, ...] | list[int],
+    r: int,
+) -> tuple[Optional[int], Optional[int], Optional[int]]:
+    """Kernel: (shortest_stop, min_sum, max_sum) of the prefix-set scan to depth r,
+    as ``_prefix_search`` defines them."""
+    return _prefix_search(adj, degs, r)[:3]
+
+
+def _best_run(levels: list[dict[int, tuple[int, int]]], degs, best_sum: int) -> tuple[int, ...]:
+    """One greedy run whose first-r degree sum is ``best_sum``: the least final
+    set with that sum, unwound through the least parent set of each set."""
+    state = min(s for s, (_, acc) in levels[-1].items() if acc == best_sum)
+    run = []
+    for prev in reversed(levels[:-1]):
+        # Every chosen set is a clique, so v is a candidate of parent; it was a
+        # greedy choice there iff it has the candidates' top degree.  Dropping
+        # higher vertices first visits the parents in increasing order.
+        for v in sorted(_bits(state), reverse=True):
+            parent = state ^ 1 << v
+            if parent in prev and degs[v] == max(degs[u] for u in _bits(prev[parent][0])):
+                break
+        run.append(v)
+        state = parent
+    return tuple(reversed(run))
 
 
 def _require_threshold(g: Graph, r: int) -> int:
@@ -274,10 +272,10 @@ def check_mean_bound(g: Graph, r: int) -> MeanCheckReport:
     """Check that the best first-r degree sum X over all tie branches satisfies
     X*n >= 2rm, strictly when the graph is not regular.  Integer arithmetic only."""
     _require_threshold(g, r)
-    shortest_stop, min_sum, max_sum = greedy_prefix_extremes(g.adj, g.degrees(), r)
+    degs = g.degrees()
+    _, min_sum, max_sum, levels = _prefix_search(g.adj, degs, r)
     regular = g.is_regular()
     failure = None
-    witness: Optional[tuple[int, ...]] = None
     if max_sum is None:
         failure = f"no greedy branch reaches {r} vertices"
     else:
@@ -287,9 +285,8 @@ def check_mean_bound(g: Graph, r: int) -> MeanCheckReport:
             failure = f"best first-{r} sum {max_sum}: {lhs} < {rhs}"
         elif not regular and lhs == rhs:
             failure = f"graph not regular but best sum meets 2rm/n with equality"
-        else:
-            _, witness = _best_sequence_witness(g, r)
     ok = failure is None
+    witness = _best_run(levels, degs, max_sum) if ok else None
     return MeanCheckReport(
         n=g.n,
         m=g.m,

@@ -63,14 +63,18 @@ def complete_multipartite(parts: list[int] | tuple[int, ...], cap: int = VERTEX_
     n = sum(parts)
     if n > cap:
         raise ResourceLimitError(f"vertex count {n} exceeds cap {cap}")
+    return _multipartite(n, parts)
+
+
+def _multipartite(n: int, parts: tuple[int, ...]) -> Graph:
+    """Complete multipartite graph on n vertices from positive part sizes summing to n."""
     full = (1 << n) - 1
-    adj = []
-    offset = 0
+    adj: list[int] = []
+    low = 1  # lowest bit of the next part
     for k in parts:
-        part_mask = ((1 << k) - 1) << offset
-        row = full & ~part_mask
-        adj.extend([row] * k)
-        offset += k
+        high = low << k
+        adj += [full ^ (high - low)] * k
+        low = high
     return Graph._raw(n, tuple(adj))
 
 
@@ -82,9 +86,7 @@ def turan_graph(r: int, n: int, cap: int = VERTEX_CAP) -> tuple[Graph, TuranDeco
     decomposition so that the part list always has r entries.
     """
     dec = turan_decomposition(r, n)
-    nonzero = tuple(k for k in dec.parts if k > 0)
-    if not nonzero:
-        if n > cap:
-            raise ResourceLimitError(f"vertex count {n} exceeds cap {cap}")
-        return Graph._raw(0, ()), dec
-    return complete_multipartite(nonzero, cap=cap), dec
+    if n > cap:
+        raise ResourceLimitError(f"vertex count {n} exceeds cap {cap}")
+    # for r > n the parts are n ones followed by zeros
+    return _multipartite(n, dec.parts if r <= n else dec.parts[:n]), dec

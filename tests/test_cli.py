@@ -2,6 +2,7 @@ import json
 
 from cliquedeg import from_edges, to_edge_list_text, to_graph6
 from cliquedeg.cli import main
+from cliquedeg.extremal import MAX_WORKERS
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +115,10 @@ def test_exit_codes_on_errors(capsys, tmp_path):
     assert code == 1
     code, _, err = run_cli(capsys, "extremal", "--n", "4", "--m", "9", "--r", "2")
     assert code == 1 and "error" in err
+    code, _, err = run_cli(
+        capsys, "extremal", "--n", "6", "--m", "9", "--r", "2", "--workers", str(MAX_WORKERS + 1)
+    )
+    assert code == 1 and "cap" in err
     bad = tmp_path / "bad.g6"
     bad.write_text("D?")  # truncated
     code, _, err = run_cli(capsys, "delta", "--input", str(bad), "--r", "2")

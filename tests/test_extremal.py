@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -22,8 +21,7 @@ from cliquedeg import (
     StabilityParams,
 )
 from cliquedeg.extremal import (
-    _combo_next,
-    _combo_unrank,
+    MAX_WORKERS,
     graph_from_triangle_bits,
     records_to_csv,
     stability_report_to_csv,
@@ -89,18 +87,6 @@ def test_triangle_bits_round_trip():
         canon = canonical_form(g)
         h = graph_from_triangle_bits(n, canon)
         assert canonical_form(h) == canon and h.m == g.m
-
-
-def test_combo_unrank_and_next():
-    for nslots, m in ((6, 3), (5, 0), (7, 7), (8, 2)):
-        combos = list(itertools.combinations(range(nslots), m))
-        for rank, expect in enumerate(combos):
-            assert tuple(_combo_unrank(nslots, m, rank)) == expect
-        cur = _combo_unrank(nslots, m, 0)
-        walked = [tuple(cur)]
-        while _combo_next(cur, nslots):
-            walked.append(tuple(cur))
-        assert walked == combos
 
 
 def test_min_exact_derived_values():
@@ -201,6 +187,12 @@ def test_scan_empty_range():
 def test_max_graphs_guard():
     with pytest.raises(ResourceLimitError):
         extremal_degree_sum_min(6, 7, 2, max_graphs=100)
+
+
+def test_workers_cap_raises_before_any_pool():
+    assert MAX_WORKERS >= 4
+    with pytest.raises(ResourceLimitError):
+        extremal_degree_sum_min(6, 9, 2, workers=MAX_WORKERS + 1)
 
 
 def test_local_search_reaches_known_minima():
@@ -312,7 +304,6 @@ def test_verify_all_skips_oversized_r():
 def test_verify_all_n5():
     rep = verify_all(5, [2, 3])
     assert rep.violations == 0
-    assert rep.cap_skips == 0
 
 
 def test_verify_rejects_bad_r():
