@@ -1,7 +1,10 @@
 """Minimum over all (n, m)-graphs of the max clique degree sum, by brute force.
 
-Exhaustive mode enumerates every labeled graph with m edges (n <= 7, or
-n = 8 with canonical-form deduplication); local-search mode runs
+The exact modes enumerate every labeled graph with m edges: exhaustive
+mode up to n = 7, canonical mode the same scan with the cap raised to
+n = 8.  Both report graphs_examined = C(N, m) for N = n(n-1)/2 edge
+slots; only ``verify_all`` in canonical mode skips isomorphic repeats,
+so there it counts isomorphism classes.  Local-search mode runs
 steepest-descent edge swaps and reports an upper bound.  The labeled
 enumeration is shardable into contiguous lexicographic ranges of the
 m-subset space, and the merge (minimum value, ties by least canonical
@@ -21,7 +24,7 @@ from typing import Iterator, Optional
 from .cliques import max_degree_sum_value
 from .graph6 import to_graph6
 from .graphs import VERTEX_CAP, Graph, ResourceLimitError
-from .greedy import greedy_prefix_extremes
+from .greedy import _floor_failure, _mean_failure, greedy_prefix_extremes
 from .turan import turan_size
 
 EXHAUSTIVE_MAX_N = 7
@@ -62,7 +65,8 @@ def _labeled_adjs(
 
     Ranks order the m-subsets of the edge slots (pairs (u, v) with u < v
     in lexicographic order) lexicographically.  With ``canonical`` set,
-    a graph isomorphic to one already yielded is skipped.
+    a graph isomorphic to one already yielded is skipped; only
+    ``verify_all`` sets it, to count isomorphism classes.
     """
     slots = [(u, v, 1 << u, 1 << v) for u, v in _slots(n)]
     seen: Optional[set] = set() if canonical else None
@@ -173,8 +177,7 @@ def canonical_form(g: Graph) -> str:
     vertex permutations; equal exactly for isomorphic graphs."""
     if g.n > CANONICAL_MAX_N:
         raise ResourceLimitError(f"canonical form capped at n={CANONICAL_MAX_N}, got {g.n}")
-    chunks = _canonical_chunks(g.adj, g.n)
-    return _render_chunks(chunks if chunks is not None else [])
+    return _render_chunks(_canonical_chunks(g.adj, g.n))
 
 
 def graph_from_triangle_bits(n: int, bits: str) -> Graph:
@@ -206,10 +209,10 @@ def _min_scan_range(args) -> tuple[Optional[int], Optional[tuple[int, ...]], int
     Returns (min value, canonical chunks of the tie-least minimizer,
     graphs examined).  Top-level so it can run in worker processes.
     """
-    n, m, r, start, count, mode = args
+    n, m, r, start, count = args
     best_val: Optional[int] = None
     best_canon: Optional[tuple[int, ...]] = None
-    for adj in _labeled_adjs(n, m, start, start + count, mode == "canonical"):
+    for adj in _labeled_adjs(n, m, start, start + count):
         val = max_degree_sum_value(adj, list(map(int.bit_count, adj)), r, abort_above=best_val)
         if val is None:
             continue
@@ -294,13 +297,13 @@ def extremal_degree_sum_min(
     if workers > MAX_WORKERS:
         raise ResourceLimitError(f"worker count {workers} exceeds cap {MAX_WORKERS}")
     if workers == 1 or total < 2 * workers:
-        parts = [_min_scan_range((n, m, r, 0, total, mode))]
+        parts = [_min_scan_range((n, m, r, 0, total))]
     else:
         # imported here: loading multiprocessing adds about 1.5 MB to the
         # resident size of every process, and single-worker scans never need it
         from concurrent.futures import ProcessPoolExecutor
 
-        jobs = [(n, m, r, lo, cnt, mode) for lo, cnt in _shard_bounds(total, workers)]
+        jobs = [(n, m, r, lo, cnt) for lo, cnt in _shard_bounds(total, workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_min_scan_range, jobs))
     examined = sum(p[2] for p in parts)
@@ -504,6 +507,18 @@ def scan_m(
     return records
 
 
+def _band_failure(n: int, m: int, r: int, value: int) -> Optional[str]:
+    """The two-sided bound 2rm <= value*n < 2rm + rn on an exact minimum."""
+    lhs = value * n
+    lo = 2 * r * m
+    hi = lo + r * n
+    if lhs < lo:
+        return f"delta_min*n = {lhs} < 2rm = {lo}"
+    if lhs >= hi:
+        return f"delta_min*n = {lhs} >= 2rm + rn = {hi}"
+    return None
+
+
 def band_violation(rec: ScanRecord) -> Optional[str]:
     """The two-sided bound 2rm <= value*n < 2rm + rn, checked when m is at or
     above the threshold; only exact modes can witness a violation."""
@@ -511,14 +526,7 @@ def band_violation(rec: ScanRecord) -> Optional[str]:
         return None
     if rec.regime == REGIME_BELOW:
         return None
-    lhs = rec.delta_min * rec.n
-    lo = 2 * rec.r * rec.m
-    hi = lo + rec.r * rec.n
-    if lhs < lo:
-        return f"delta_min*n = {lhs} < 2rm = {lo}"
-    if lhs >= hi:
-        return f"delta_min*n = {lhs} >= 2rm + rn = {hi}"
-    return None
+    return _band_failure(rec.n, rec.m, rec.r, rec.delta_min)
 
 
 @dataclass(frozen=True)
@@ -657,7 +665,7 @@ def verify_all(
     max_graphs: Optional[int] = None,
 ) -> VerifyReport:
     """Run both greedy checks on every labeled graph in range and the two-sided
-    bound on every exhaustive minimum; every violation is carried as graph6.
+    bound on every exact minimum; every greedy violation is carried as graph6.
 
     graphs_examined counts (graph, r) incidences: each enumerated graph
     once per clique size it is checked against.
@@ -674,6 +682,18 @@ def verify_all(
     counterexamples: list[dict] = []
     graphs_examined = 0
     cells = 0
+
+    def found(n: int, m: int, r: int, kind: str, detail: str, graph6: str) -> None:
+        counterexamples.append(
+            {
+                "n": n,
+                "m": m,
+                "r": r,
+                "kind": kind,
+                "detail": detail,
+                "graph6": graph6,
+            }
+        )
 
     for n in range(2, n_max + 1):
         rs = [r for r in rs_all if r <= n]
@@ -695,55 +715,20 @@ def verify_all(
                 for r in active:
                     graphs_examined += 1
                     shortest, min_sum, max_sum = greedy_prefix_extremes(adj, degs, r)
-                    problems = []
-                    if shortest is not None or min_sum is None:
-                        problems.append(f"greedy sequence shorter than {r}")
-                    else:
-                        if min_sum < (r - 1) * n:
-                            problems.append(
-                                f"first-{r} sum {min_sum} below floor {(r - 1) * n}"
-                            )
-                        if min_sum == (r - 1) * n and m != thresholds[r]:
-                            problems.append(
-                                f"floor equality at m={m} != threshold {thresholds[r]}"
-                            )
-                        lhs = max_sum * n
-                        rhs = 2 * r * m
-                        if lhs < rhs:
-                            problems.append(f"best first-{r} sum: {lhs} < 2rm = {rhs}")
-                        elif not regular and lhs == rhs:
-                            problems.append("non-regular graph meets 2rm/n with equality")
-                    for problem in problems:
-                        counterexamples.append(
-                            {
-                                "n": n,
-                                "m": m,
-                                "r": r,
-                                "kind": "greedy",
-                                "detail": problem,
-                                "graph6": to_graph6(Graph._raw(n, tuple(adj))),
-                            }
-                        )
+                    problems = (
+                        _floor_failure(n, m, r, thresholds[r], shortest, min_sum),
+                        _mean_failure(n, m, r, regular, max_sum),
+                    )
+                    for problem in filter(None, problems):
+                        found(n, m, r, "greedy", problem, to_graph6(Graph._raw(n, tuple(adj))))
                     val = max_degree_sum_value(adj, degs, r, abort_above=cell_min[r])
                     if val is not None and (cell_min[r] is None or val < cell_min[r]):
                         cell_min[r] = val
             for r in active:
                 cells += 1
-                dmin = cell_min[r]
-                lhs = dmin * n
-                lo = 2 * r * m
-                hi = lo + r * n
-                if not (lo <= lhs < hi):
-                    counterexamples.append(
-                        {
-                            "n": n,
-                            "m": m,
-                            "r": r,
-                            "kind": "band",
-                            "detail": f"minimum {dmin}: {lhs} outside [{lo}, {hi})",
-                            "graph6": "",
-                        }
-                    )
+                problem = _band_failure(n, m, r, cell_min[r])
+                if problem:
+                    found(n, m, r, "band", problem, "")
     return VerifyReport(
         n_max=n_max,
         r_set=tuple(rs_all),

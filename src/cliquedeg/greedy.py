@@ -187,6 +187,37 @@ def _best_run(levels: list[dict[int, tuple[int, int]]], degs, best_sum: int) -> 
     return tuple(reversed(run))
 
 
+def _floor_failure(
+    n: int, m: int, r: int, t: int, shortest_stop: Optional[int], min_sum: Optional[int]
+) -> Optional[str]:
+    """The floor check on a prefix-set scan: every branch reaches r vertices,
+    the first-r sum is at least (r-1)n, and equality forces m = t."""
+    if shortest_stop is not None:
+        return f"a maximal greedy sequence stops at {shortest_stop} < {r} vertices"
+    if min_sum is None:
+        return f"no greedy branch reaches {r} vertices"
+    floor = (r - 1) * n
+    if min_sum < floor:
+        return f"first-{r} degree sum {min_sum} below floor {floor}"
+    if min_sum == floor and m != t:
+        return f"floor attained but m={m} differs from threshold {t}"
+    return None
+
+
+def _mean_failure(n: int, m: int, r: int, regular: bool, max_sum: Optional[int]) -> Optional[str]:
+    """The mean check: the best first-r sum X has X*n >= 2rm, strictly when
+    the graph is not regular."""
+    if max_sum is None:
+        return f"no greedy branch reaches {r} vertices"
+    lhs = max_sum * n
+    rhs = 2 * r * m
+    if lhs < rhs:
+        return f"best first-{r} sum {max_sum}: {lhs} < {rhs}"
+    if not regular and lhs == rhs:
+        return "graph not regular but best sum meets 2rm/n with equality"
+    return None
+
+
 def _require_threshold(g: Graph, r: int) -> int:
     if r < 2:
         raise PreconditionError(f"clique size must be at least 2, got {r}")
@@ -224,16 +255,7 @@ def check_floor_bound(g: Graph, r: int) -> FloorCheckReport:
     t = _require_threshold(g, r)
     floor = (r - 1) * g.n
     shortest_stop, min_sum, max_sum = greedy_prefix_extremes(g.adj, g.degrees(), r)
-    failure = None
-    if shortest_stop is not None:
-        failure = f"a maximal greedy sequence stops at {shortest_stop} < {r} vertices"
-    elif min_sum is None:
-        failure = f"no greedy branch reaches {r} vertices"
-    elif min_sum < floor:
-        failure = f"first-{r} degree sum {min_sum} below floor {floor}"
-    equality = min_sum == floor if min_sum is not None else False
-    if failure is None and equality and g.m != t:
-        failure = f"floor attained but m={g.m} differs from threshold {t}"
+    failure = _floor_failure(g.n, g.m, r, t, shortest_stop, min_sum)
     ok = failure is None
     return FloorCheckReport(
         n=g.n,
@@ -244,7 +266,7 @@ def check_floor_bound(g: Graph, r: int) -> FloorCheckReport:
         all_reach_r=shortest_stop is None and min_sum is not None,
         min_first_r_sum=min_sum,
         max_first_r_sum=max_sum,
-        equality_attained=equality,
+        equality_attained=min_sum == floor,
         ok=ok,
         failure=failure,
         counterexample_g6=None if ok else to_graph6(g),
@@ -275,16 +297,7 @@ def check_mean_bound(g: Graph, r: int) -> MeanCheckReport:
     degs = g.degrees()
     _, min_sum, max_sum, levels = _prefix_search(g.adj, degs, r)
     regular = g.is_regular()
-    failure = None
-    if max_sum is None:
-        failure = f"no greedy branch reaches {r} vertices"
-    else:
-        lhs = max_sum * g.n
-        rhs = 2 * r * g.m
-        if lhs < rhs:
-            failure = f"best first-{r} sum {max_sum}: {lhs} < {rhs}"
-        elif not regular and lhs == rhs:
-            failure = f"graph not regular but best sum meets 2rm/n with equality"
+    failure = _mean_failure(g.n, g.m, r, regular, max_sum)
     ok = failure is None
     witness = _best_run(levels, degs, max_sum) if ok else None
     return MeanCheckReport(

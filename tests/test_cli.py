@@ -163,6 +163,18 @@ def test_violation_exit_code_path():
     assert band_violation(heur) is None
 
 
+def test_verify_exits_2_on_a_violation(capsys, monkeypatch):
+    # no real counterexample exists, so make every greedy branch stop at one vertex
+    import cliquedeg.extremal as ext
+
+    monkeypatch.setattr(ext, "greedy_prefix_extremes", lambda adj, degs, r: (1, None, None))
+    code, out, _ = run_cli(capsys, "verify", "--n-max", "3", "--r", "2", "--format", "json")
+    assert code == 2
+    result = json.loads(out)["result"]
+    assert result["violations"] == 10
+    assert {ce["kind"] for ce in result["counterexamples"]} == {"greedy"}
+
+
 def test_workers_flag_does_not_change_output(tmp_path):
     base = [
         "scan", "--n", "5", "--r", "2", "--m-from", "6", "--m-to", "8",

@@ -22,10 +22,12 @@ from cliquedeg import (
 )
 from cliquedeg.extremal import (
     MAX_WORKERS,
+    _band_failure,
     graph_from_triangle_bits,
     records_to_csv,
     stability_report_to_csv,
 )
+from cliquedeg.greedy import _floor_failure, _mean_failure
 
 from conftest import slot_pairs
 from oracles import naive_min_over_graphs
@@ -141,6 +143,19 @@ def test_canonical_mode_agrees_with_exhaustive():
         )
 
 
+def test_canonical_mode_at_n8_matches_oracle():
+    for m in (0, 1, 2, 26, 27, 28):
+        for r in (2, 3):
+            rec = extremal_degree_sum_min(8, m, r, mode="canonical")
+            assert rec.delta_min == naive_min_over_graphs(8, m, r), (m, r)
+            assert rec.graphs_examined == math.comb(28, m)
+            witness = from_graph6(rec.witness_g6)
+            assert witness.n == 8 and witness.m == m
+            assert max_clique_degree_sum(witness, r).value == rec.delta_min
+    with pytest.raises(ResourceLimitError):
+        extremal_degree_sum_min(8, 1, 2, mode="exhaustive")
+
+
 def test_sharded_scan_identical_to_single_worker():
     single = scan_m(6, 3, 11, 13, workers=1)
     sharded = scan_m(6, 3, 11, 13, workers=3)
@@ -152,10 +167,10 @@ def test_arbitrary_shard_partitions_merge_identically():
 
     n, m, r = 6, 9, 2
     total = math.comb(15, 9)
-    whole = _min_scan_range((n, m, r, 0, total, "exhaustive"))
+    whole = _min_scan_range((n, m, r, 0, total))
     for cuts in ([0, 1, total], [0, total // 3, total // 3 + 7, total]):
         parts = [
-            _min_scan_range((n, m, r, lo, hi - lo, "exhaustive"))
+            _min_scan_range((n, m, r, lo, hi - lo))
             for lo, hi in zip(cuts, cuts[1:])
         ]
         assert sum(p[2] for p in parts) == total == whole[2]
@@ -304,6 +319,46 @@ def test_verify_all_skips_oversized_r():
 def test_verify_all_n5():
     rep = verify_all(5, [2, 3])
     assert rep.violations == 0
+
+
+def test_verify_canonical_counts_isomorphism_classes():
+    rep = verify_all(5, [2], mode="canonical")
+    # classes with m >= t(2, n), from OEIS A008406: n=2: 1, n=3: 2, n=4: 4, n=5: 14
+    assert rep.graphs_examined == 1 + 2 + 4 + 14
+    assert rep.cells == 11 == verify_all(5, [2]).cells
+    assert rep.violations == 0
+
+
+def test_band_failure_messages():
+    # n=4, r=2, m=4: the band is 16 <= value*4 < 24
+    assert _band_failure(4, 4, 2, 3) == "delta_min*n = 12 < 2rm = 16"
+    assert _band_failure(4, 4, 2, 4) is None
+    assert _band_failure(4, 4, 2, 5) is None
+    assert _band_failure(4, 4, 2, 6) == "delta_min*n = 24 >= 2rm + rn = 24"
+
+
+def test_verify_counterexamples_carry_check_wording(monkeypatch):
+    import cliquedeg.extremal as ext
+
+    monkeypatch.setattr(ext, "greedy_prefix_extremes", lambda adj, degs, r: (1, None, None))
+    monkeypatch.setattr(ext, "max_degree_sum_value", lambda adj, degs, r, abort_above=None: 0)
+    rep = verify_all(3, [2])
+    greedy = [ce for ce in rep.counterexamples if ce["kind"] == "greedy"]
+    band = [ce for ce in rep.counterexamples if ce["kind"] == "band"]
+    # cells (n, m) = (2, 1), (3, 2), (3, 3) hold 1, 3 and 1 labeled graphs,
+    # and each graph fails the floor check and then the mean check
+    assert len(greedy) == 2 * (1 + 3 + 1) and len(band) == 3
+    assert rep.violations == len(rep.counterexamples) == len(greedy) + len(band)
+    for floor_ce, mean_ce in zip(greedy[0::2], greedy[1::2]):
+        n, m = floor_ce["n"], floor_ce["m"]
+        assert floor_ce["detail"] == _floor_failure(n, m, 2, turan_size(2, n), 1, None)
+        assert mean_ce["detail"] == _mean_failure(n, m, 2, False, None)
+        assert floor_ce["graph6"] == mean_ce["graph6"]
+        g = from_graph6(floor_ce["graph6"])
+        assert (g.n, g.m) == (n, m)
+    for ce in band:
+        assert ce["detail"] == _band_failure(ce["n"], ce["m"], 2, 0)
+        assert ce["graph6"] == ""
 
 
 def test_verify_rejects_bad_r():

@@ -15,10 +15,11 @@ from cliquedeg import (
     greedy_sequence,
     max_clique_degree_sum,
     new_graph,
+    to_graph6,
     turan_graph,
     turan_size,
 )
-from cliquedeg.greedy import greedy_prefix_extremes
+from cliquedeg.greedy import _floor_failure, _mean_failure, greedy_prefix_extremes
 
 from conftest import graphs, slot_pairs
 from oracles import naive_greedy_sequences
@@ -173,6 +174,44 @@ def test_mean_check_examples():
     rep = check_mean_bound(g, 3)
     assert rep.ok and rep.best_first_r_sum == 12 and rep.regular
     assert rep.best_first_r_sum * 6 == 2 * 3 * 12
+
+
+def test_floor_failure_messages_in_precedence_order():
+    # n=4, r=3: floor (r-1)n = 8, threshold t = 5
+    stop = "a maximal greedy sequence stops at 2 < 3 vertices"
+    assert _floor_failure(4, 5, 3, 5, 2, None) == stop
+    assert _floor_failure(4, 6, 3, 5, 2, 8) == stop
+    assert _floor_failure(4, 5, 3, 5, None, None) == "no greedy branch reaches 3 vertices"
+    assert _floor_failure(4, 6, 3, 5, None, 7) == "first-3 degree sum 7 below floor 8"
+    assert _floor_failure(4, 6, 3, 5, None, 8) == "floor attained but m=6 differs from threshold 5"
+    assert _floor_failure(4, 5, 3, 5, None, 8) is None
+    assert _floor_failure(4, 6, 3, 5, None, 9) is None
+
+
+def test_mean_failure_messages_in_precedence_order():
+    # n=4, r=2, m=4: the bound is X*4 >= 16
+    assert _mean_failure(4, 4, 2, False, None) == "no greedy branch reaches 2 vertices"
+    assert _mean_failure(4, 4, 2, True, 3) == "best first-2 sum 3: 12 < 16"
+    assert _mean_failure(4, 4, 2, False, 3) == "best first-2 sum 3: 12 < 16"
+    assert _mean_failure(4, 4, 2, False, 4) == (
+        "graph not regular but best sum meets 2rm/n with equality"
+    )
+    assert _mean_failure(4, 4, 2, True, 4) is None
+    assert _mean_failure(4, 4, 2, False, 5) is None
+
+
+def test_check_reports_carry_the_failure(monkeypatch):
+    import cliquedeg.greedy as greedy
+
+    c4 = from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    monkeypatch.setattr(greedy, "greedy_prefix_extremes", lambda adj, degs, r: (1, None, None))
+    monkeypatch.setattr(greedy, "_prefix_search", lambda adj, degs, r: (1, None, None, []))
+    floor = check_floor_bound(c4, 2)
+    assert not floor.ok and floor.failure == _floor_failure(4, 4, 2, 4, 1, None)
+    mean = check_mean_bound(c4, 2)
+    assert not mean.ok and mean.failure == _mean_failure(4, 4, 2, True, None)
+    assert mean.witness is None
+    assert floor.counterexample_g6 == mean.counterexample_g6 == to_graph6(c4)
 
 
 def test_check_preconditions():
