@@ -265,7 +265,11 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    params = StabilityParams(epsilon=Fraction(args.epsilon), r=args.r, n=args.n)
+    try:
+        epsilon = Fraction(args.epsilon)
+    except ZeroDivisionError:
+        raise ValueError(f"epsilon {args.epsilon!r} has a zero denominator") from None
+    params = StabilityParams(epsilon=epsilon, r=args.r, n=args.n)
     rep = stability_experiment(
         params, mode=args.mode, seed=args.seed, restarts=args.restarts,
         iter_budget=args.iter_budget, workers=args.workers, max_graphs=args.max_graphs,

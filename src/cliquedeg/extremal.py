@@ -4,12 +4,18 @@ The exact modes enumerate every labeled graph with m edges: exhaustive
 mode up to n = 7, canonical mode the same scan with the cap raised to
 n = 8.  Both report graphs_examined = C(N, m) for N = n(n-1)/2 edge
 slots; only ``verify_all`` in canonical mode skips isomorphic repeats,
-so there it counts isomorphism classes.  Local-search mode runs
-steepest-descent edge swaps and reports an upper bound.  The labeled
-enumeration is shardable into contiguous lexicographic ranges of the
-m-subset space, and the merge (minimum value, ties by least canonical
-form) is independent of the shard layout, so any worker count produces
-identical records.
+keeping each graph whose labeled encoding is its canonical form, so
+there it counts isomorphism classes.  Local-search mode runs
+steepest-descent edge swaps and reports an upper bound.
+
+An exact witness is the minimizer with the least labeled encoding
+(column-order upper-triangle bits, vertices in index order).  The scan
+visits every relabeling of every minimizer, so this is also the least
+canonical form among them, and no canonical search is needed.  The
+labeled enumeration is shardable into contiguous lexicographic ranges of
+the m-subset space; a shard's key is not itself canonical, but the merge
+(minimum value, ties by least labeled encoding) covers the whole space,
+so any worker count produces identical records.
 """
 
 from __future__ import annotations
@@ -59,27 +65,21 @@ def _slots(n: int) -> list[tuple[int, int]]:
 
 
 def _labeled_adjs(
-    n: int, m: int, start: int = 0, stop: Optional[int] = None, canonical: bool = False
+    n: int, m: int, start: int = 0, stop: Optional[int] = None
 ) -> Iterator[list[int]]:
     """Adjacency rows of the labeled (n, m)-graphs with lex ranks in [start, stop).
 
     Ranks order the m-subsets of the edge slots (pairs (u, v) with u < v
-    in lexicographic order) lexicographically.  With ``canonical`` set,
-    a graph isomorphic to one already yielded is skipped; only
-    ``verify_all`` sets it, to count isomorphism classes.
+    in lexicographic order) lexicographically.  The full range holds every
+    relabeling of every graph, which is why the least labeled encoding
+    among a scan's minimizers is their least canonical form.
     """
     slots = [(u, v, 1 << u, 1 << v) for u, v in _slots(n)]
-    seen: Optional[set] = set() if canonical else None
     for combo in itertools.islice(itertools.combinations(slots, m), start, stop):
         adj = [0] * n
         for u, v, bu, bv in combo:
             adj[u] |= bv
             adj[v] |= bu
-        if seen is not None:
-            canon = tuple(_canonical_chunks(adj, n))
-            if canon in seen:
-                continue
-            seen.add(canon)
         yield adj
 
 
@@ -107,29 +107,35 @@ def enumerate_graphs(n: int, m: int) -> Iterator[Graph]:
 # canonical form
 
 
-def _canonical_chunks(
-    adj, n: int, bound: Optional[tuple[int, ...]] = None
-) -> Optional[list[int]]:
+def _labeled_chunks(adj, n: int) -> tuple[int, ...]:
+    """The encoding that ``_canonical_chunks`` minimizes, for the identity vertex order."""
+    chunks = []
+    for j in range(1, n):
+        c = 0
+        for i in range(j):
+            c = c << 1 | (adj[j] >> i & 1)
+        chunks.append(c)
+    return tuple(chunks)
+
+
+def _canonical_chunks(adj, n: int) -> tuple[int, ...]:
     """Least column-order upper-triangle encoding over all vertex orders.
 
     The encoding is one integer "chunk" per position j >= 1 holding the
     adjacency bits of the j-th placed vertex to the previously placed
     ones.  Branch-and-bound: subtrees whose prefix already exceeds the
-    best known encoding are pruned.  With ``bound`` given, returns None
-    unless some ordering beats the bound strictly.
+    best known encoding are pruned.
     """
-    if n <= 1:
-        return None if bound is not None else []
-    best: Optional[list[int]] = list(bound) if bound is not None else None
+    best: tuple[int, ...] = ()
 
     def rec(chosen: list[int], chunks: list[int], used: int, tight: bool) -> bool:
+        # tight: the prefix so far equals best's, so only a smaller leaf improves it
         nonlocal best
         j = len(chosen)
         if j == n:
-            if best is None or not tight:
-                best = chunks.copy()
-                return True
-            return False
+            if not tight:
+                best = tuple(chunks)
+            return not tight
         cands = []
         for w in range(n):
             if used >> w & 1:
@@ -140,16 +146,14 @@ def _canonical_chunks(
                 c = c << 1 | (aw >> chosen[i] & 1)
             cands.append((c, w))
         cands.sort()
-        cur_tight = tight
         improved_here = False
         for c, w in cands:
-            if cur_tight and best is not None and j >= 1:
+            child_tight = tight
+            if tight and j >= 1:
                 bc = best[j - 1]
                 if c > bc:
                     break
                 child_tight = c == bc
-            else:
-                child_tight = cur_tight and best is not None
             chosen.append(w)
             if j >= 1:
                 chunks.append(c)
@@ -159,16 +163,14 @@ def _canonical_chunks(
             chosen.pop()
             if imp:
                 improved_here = True
-                cur_tight = True
+                tight = True
         return improved_here
 
-    improved = rec([], [], 0, bound is not None)
-    if bound is not None and not improved:
-        return None
+    rec([], [], 0, False)
     return best
 
 
-def _render_chunks(chunks: list[int]) -> str:
+def _render_chunks(chunks: tuple[int, ...]) -> str:
     return "".join(format(c, f"0{j}b") for j, c in enumerate(chunks, start=1))
 
 
@@ -195,8 +197,8 @@ def graph_from_triangle_bits(n: int, bits: str) -> Graph:
     return Graph._raw(n, tuple(adj))
 
 
-def _graph_from_chunks(n: int, chunks) -> Graph:
-    return graph_from_triangle_bits(n, _render_chunks(list(chunks)))
+def _graph_from_chunks(n: int, chunks: tuple[int, ...]) -> Graph:
+    return graph_from_triangle_bits(n, _render_chunks(chunks))
 
 
 # ---------------------------------------------------------------------------
@@ -206,24 +208,22 @@ def _graph_from_chunks(n: int, chunks) -> Graph:
 def _min_scan_range(args) -> tuple[Optional[int], Optional[tuple[int, ...]], int]:
     """Partial minimum over one contiguous lex range of edge-subset space.
 
-    Returns (min value, canonical chunks of the tie-least minimizer,
-    graphs examined).  Top-level so it can run in worker processes.
+    Returns (min value, labeled chunks of the tie-least minimizer,
+    graphs examined).  The chunks are this range's least labeled encoding;
+    only the merge over the whole space is canonical.  Top-level so it can
+    run in worker processes.
     """
     n, m, r, start, count = args
     best_val: Optional[int] = None
-    best_canon: Optional[tuple[int, ...]] = None
+    best_chunks: Optional[tuple[int, ...]] = None
     for adj in _labeled_adjs(n, m, start, start + count):
         val = max_degree_sum_value(adj, list(map(int.bit_count, adj)), r, abort_above=best_val)
         if val is None:
             continue
-        if best_val is None or val < best_val:
-            best_val = val
-            best_canon = tuple(_canonical_chunks(adj, n))
-        elif val == best_val:
-            better = _canonical_chunks(adj, n, bound=best_canon)
-            if better is not None:
-                best_canon = tuple(better)
-    return best_val, best_canon, count
+        chunks = _labeled_chunks(adj, n)
+        if best_val is None or (val, chunks) < (best_val, best_chunks):
+            best_val, best_chunks = val, chunks
+    return best_val, best_chunks, count
 
 
 def _shard_bounds(total: int, workers: int) -> list[tuple[int, int]]:
@@ -256,6 +256,41 @@ def _make_record(n, m, r, mode, value, witness: Graph, examined) -> ScanRecord:
     )
 
 
+def _check_exact_cells(
+    n: int, r: int, ms, mode: str, max_graphs: Optional[int], workers: int = 1
+) -> None:
+    """Every argument check of an exact scan, run on the cells (n, m, r) for
+    m in ``ms`` in order, so that a bad cell raises before any cell is scanned."""
+    for m in ms:
+        if n < 1:
+            raise ValueError(f"vertex count must be at least 1, got {n}")
+        if r < 1:
+            raise ValueError(f"clique size must be at least 1, got {r}")
+        nslots = n * (n - 1) // 2
+        if m < 0 or m > nslots:
+            raise ValueError(f"edge count {m} outside 0..{nslots}")
+        if mode == "exhaustive":
+            if n > EXHAUSTIVE_MAX_N:
+                raise ResourceLimitError(
+                    f"exhaustive mode capped at n={EXHAUSTIVE_MAX_N}; "
+                    "use canonical (n=8) or local-search modes"
+                )
+        elif mode == "canonical":
+            if n > CANONICAL_MAX_N:
+                raise ResourceLimitError(
+                    f"canonical mode capped at n={CANONICAL_MAX_N}; use local-search"
+                )
+        else:
+            raise ValueError(f"unknown exact mode {mode!r}")
+        total = math.comb(nslots, m)
+        if max_graphs is not None and total > max_graphs:
+            raise ResourceLimitError(f"{total} graphs exceed max-graphs limit {max_graphs}")
+        if workers < 1:
+            raise ValueError(f"worker count must be at least 1, got {workers}")
+        if workers > MAX_WORKERS:
+            raise ResourceLimitError(f"worker count {workers} exceeds cap {MAX_WORKERS}")
+
+
 def extremal_degree_sum_min(
     n: int,
     m: int,
@@ -266,36 +301,12 @@ def extremal_degree_sum_min(
 ) -> ScanRecord:
     """Exact minimum over all labeled (n, m)-graphs of the max r-clique degree sum.
 
-    The witness is the canonical representative of the minimizing
-    isomorphism class with the least canonical form.
+    The witness is the minimizer with the least labeled encoding, which
+    is the least canonical form among the minimizers because the scan
+    covers every relabeling of each.
     """
-    if n < 1:
-        raise ValueError(f"vertex count must be at least 1, got {n}")
-    if r < 1:
-        raise ValueError(f"clique size must be at least 1, got {r}")
-    nslots = n * (n - 1) // 2
-    if m < 0 or m > nslots:
-        raise ValueError(f"edge count {m} outside 0..{nslots}")
-    if mode == "exhaustive":
-        if n > EXHAUSTIVE_MAX_N:
-            raise ResourceLimitError(
-                f"exhaustive mode capped at n={EXHAUSTIVE_MAX_N}; "
-                "use canonical (n=8) or local-search modes"
-            )
-    elif mode == "canonical":
-        if n > CANONICAL_MAX_N:
-            raise ResourceLimitError(
-                f"canonical mode capped at n={CANONICAL_MAX_N}; use local-search"
-            )
-    else:
-        raise ValueError(f"unknown exact mode {mode!r}")
-    total = math.comb(nslots, m)
-    if max_graphs is not None and total > max_graphs:
-        raise ResourceLimitError(f"{total} graphs exceed max-graphs limit {max_graphs}")
-    if workers < 1:
-        raise ValueError(f"worker count must be at least 1, got {workers}")
-    if workers > MAX_WORKERS:
-        raise ResourceLimitError(f"worker count {workers} exceeds cap {MAX_WORKERS}")
+    _check_exact_cells(n, r, (m,), mode, max_graphs, workers)
+    total = math.comb(n * (n - 1) // 2, m)
     if workers == 1 or total < 2 * workers:
         parts = [_min_scan_range((n, m, r, 0, total))]
     else:
@@ -308,8 +319,8 @@ def extremal_degree_sum_min(
             parts = list(pool.map(_min_scan_range, jobs))
     examined = sum(p[2] for p in parts)
     candidates = [(p[0], p[1]) for p in parts if p[0] is not None]
-    value, canon = min(candidates)
-    return _make_record(n, m, r, mode, value, _graph_from_chunks(n, canon), examined)
+    value, chunks = min(candidates)
+    return _make_record(n, m, r, mode, value, _graph_from_chunks(n, chunks), examined)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +384,7 @@ def near_regular_graph(n: int, m: int) -> Graph:
 def _graph_key(adj, n: int):
     """Deterministic tie key: canonical chunks where feasible, else the labeled encoding."""
     if n <= CANONICAL_MAX_N:
-        return tuple(_canonical_chunks(adj, n))
+        return _canonical_chunks(adj, n)
     return tuple(adj)
 
 
@@ -490,6 +501,8 @@ def scan_m(
     max_graphs: Optional[int] = None,
 ) -> list[ScanRecord]:
     """One record per edge count in [m_from, m_to]; empty range gives an empty list."""
+    if mode != "local-search":
+        _check_exact_cells(n, r, range(m_from, m_to + 1), mode, max_graphs, workers)
     records = []
     for m in range(m_from, m_to + 1):
         if mode == "local-search":
@@ -679,6 +692,14 @@ def verify_all(
         if r < 2:
             raise ValueError(f"clique sizes must be at least 2, got {r}")
     skipped = tuple((n, r) for n in range(2, n_max + 1) for r in rs_all if r > n)
+    plan = []  # (n, clique sizes, their thresholds, edge counts), all checked up front
+    for n in range(2, n_max + 1):
+        rs = [r for r in rs_all if r <= n]
+        if rs:
+            thresholds = {r: turan_size(r, n) for r in rs}
+            ms = range(min(thresholds.values()), n * (n - 1) // 2 + 1)
+            _check_exact_cells(n, rs[0], ms, mode, max_graphs)
+            plan.append((n, rs, thresholds, ms))
     counterexamples: list[dict] = []
     graphs_examined = 0
     cells = 0
@@ -695,21 +716,13 @@ def verify_all(
             }
         )
 
-    for n in range(2, n_max + 1):
-        rs = [r for r in rs_all if r <= n]
-        if not rs:
-            continue
-        nslots = n * (n - 1) // 2
-        thresholds = {r: turan_size(r, n) for r in rs}
-        m_lo = min(thresholds.values())
-        for m in range(m_lo, nslots + 1):
+    for n, rs, thresholds, ms in plan:
+        for m in ms:
             active = [r for r in rs if thresholds[r] <= m]
-            if max_graphs is not None and math.comb(nslots, m) > max_graphs:
-                raise ResourceLimitError(
-                    f"cell n={n} m={m} exceeds max-graphs limit {max_graphs}"
-                )
             cell_min: dict[int, Optional[int]] = {r: None for r in active}
-            for adj in _labeled_adjs(n, m, canonical=mode == "canonical"):
+            for adj in _labeled_adjs(n, m):
+                if mode == "canonical" and _canonical_chunks(adj, n) != _labeled_chunks(adj, n):
+                    continue  # not the representative of its isomorphism class
                 degs = list(map(int.bit_count, adj))
                 regular = min(degs) == max(degs)
                 for r in active:

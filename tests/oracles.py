@@ -77,3 +77,29 @@ def naive_graph6(n, edges):
     return chr(63 + n) + "".join(
         chr(63 + int(bits[k : k + 6], 2)) for k in range(0, len(bits), 6)
     )
+
+
+def naive_least_minimizer_g6(n, m, r):
+    """graph6 of the least canonical form among the labeled (n, m)-graphs that
+    minimize the max r-clique degree sum: the least column-order bitstring
+    over every minimizer and every vertex permutation."""
+    slots = list(itertools.combinations(range(n), 2))
+    graphs = list(itertools.combinations(slots, m))
+    values = [naive_max_clique_degree_sum(n, edges, r) for edges in graphs]
+    low = min(values)
+    best = None
+    for edges, value in zip(graphs, values):
+        if value != low:
+            continue
+        mat = [[False] * n for _ in range(n)]
+        for u, v in edges:
+            mat[u][v] = mat[v][u] = True
+        for perm in itertools.permutations(range(n)):
+            # position i holds the old vertex perm[i]
+            bits = "".join(
+                "1" if mat[perm[i]][perm[j]] else "0" for j in range(1, n) for i in range(j)
+            )
+            if best is None or bits < best:
+                best = bits
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return naive_graph6(n, [p for p, bit in zip(pairs, best) if bit == "1"])

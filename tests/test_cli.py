@@ -119,6 +119,8 @@ def test_exit_codes_on_errors(capsys, tmp_path):
         capsys, "extremal", "--n", "6", "--m", "9", "--r", "2", "--workers", str(MAX_WORKERS + 1)
     )
     assert code == 1 and "cap" in err
+    code, _, err = run_cli(capsys, "stability", "--n", "5", "--r", "2", "--epsilon", "1/0")
+    assert code == 1 and err.startswith("cliquedeg: error: ") and "Traceback" not in err
     bad = tmp_path / "bad.g6"
     bad.write_text("D?")  # truncated
     code, _, err = run_cli(capsys, "delta", "--input", str(bad), "--r", "2")

@@ -30,7 +30,7 @@ from cliquedeg.extremal import (
 from cliquedeg.greedy import _floor_failure, _mean_failure
 
 from conftest import slot_pairs
-from oracles import naive_min_over_graphs
+from oracles import naive_least_minimizer_g6, naive_min_over_graphs
 
 
 def test_enumerate_counts():
@@ -130,6 +130,13 @@ def test_min_witness_is_least_canonical_minimizer():
     ]
     least = min(canonical_form(g) for g in minimizers)
     assert canonical_form(from_graph6(rec.witness_g6)) == least
+    cells = [(n, m, r, 1) for n in range(1, 6) for m in range(math.comb(n, 2) + 1) for r in (2, 3)]
+    cells += [(6, 3, 2, 2), (6, 9, 3, 2), (6, 14, 2, 2)]
+    for n, m, r, workers in cells:
+        expected = naive_least_minimizer_g6(n, m, r)
+        for mode in ("exhaustive", "canonical"):
+            rec = extremal_degree_sum_min(n, m, r, mode=mode, workers=workers)
+            assert rec.witness_g6 == expected, (n, m, r, mode)
 
 
 def test_canonical_mode_agrees_with_exhaustive():
@@ -202,6 +209,28 @@ def test_scan_empty_range():
 def test_max_graphs_guard():
     with pytest.raises(ResourceLimitError):
         extremal_degree_sum_min(6, 7, 2, max_graphs=100)
+
+
+def test_every_cell_is_checked_before_the_first_scan(monkeypatch):
+    import cliquedeg.extremal as ext
+
+    calls = []
+    kernel = ext.max_degree_sum_value
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(ext, "max_degree_sum_value", counting)
+    with pytest.raises(ResourceLimitError):
+        verify_all(6, [2], max_graphs=1000)
+    assert len(calls) == 0
+    with pytest.raises(ResourceLimitError):
+        scan_m(6, 2, 0, 15, max_graphs=1000)
+    assert len(calls) == 0
+    with pytest.raises(ValueError):
+        scan_m(6, 2, 0, 16)
+    assert len(calls) == 0
 
 
 def test_workers_cap_raises_before_any_pool():
@@ -326,6 +355,11 @@ def test_verify_canonical_counts_isomorphism_classes():
     # classes with m >= t(2, n), from OEIS A008406: n=2: 1, n=3: 2, n=4: 4, n=5: 14
     assert rep.graphs_examined == 1 + 2 + 4 + 14
     assert rep.cells == 11 == verify_all(5, [2]).cells
+    assert rep.violations == 0
+    rep = verify_all(6, [2], mode="canonical")
+    # n=6 adds 54 classes with m >= t(2, 6); 18 cells as in exhaustive mode
+    assert rep.graphs_examined == 1 + 2 + 4 + 14 + 54
+    assert rep.cells == 18
     assert rep.violations == 0
 
 
