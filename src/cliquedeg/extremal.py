@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .cliques import max_degree_sum_value
+from .cliques import enumerate_r_cliques, max_degree_sum_value
 from .graph6 import to_graph6
 from .graphs import VERTEX_CAP, Graph, ResourceLimitError
 from .greedy import _floor_failure, _mean_failure, greedy_prefix_extremes
@@ -36,6 +36,7 @@ from .turan import turan_size
 EXHAUSTIVE_MAX_N = 7
 CANONICAL_MAX_N = 8
 MAX_WORKERS = 8  # worker processes one exact scan may start
+MAX_RESTARTS = 10_000  # random starts one local search may take
 
 REGIME_BELOW = "below-threshold"
 REGIME_AT = "at-threshold"
@@ -388,6 +389,102 @@ def _graph_key(adj, n: int):
     return tuple(adj)
 
 
+def _best_swap(cur: list[int], n: int, r: int):
+    """The least (value, key) graph one edge swap away from ``cur``.
+
+    Returns (value, key, adjacency), or (None, None, None) when ``cur`` has
+    no edge or no non-edge.  Swaps are taken in (removed edge, added edge)
+    lexicographic order, and a swap whose value exceeds the best one so far
+    is dropped once that is proven, so the choice, first-found among equal
+    keys included, is the one a full evaluation of every swap makes.
+
+    Each value comes from ``cur``'s r-cliques, not from the swapped graph.
+    Removing (eu, ev) destroys the cliques holding both ends and lowers
+    every other clique's sum by one per end it holds.  Adding the non-edge
+    (hu, hv) raises a kept clique's sum by one if it holds hu or hv (it
+    cannot hold both), and creates the cliques through (hu, hv), whose best
+    sum is d'(hu) + d'(hv) plus the best (r-2)-clique of their common
+    neighbourhood, d' being the degrees after the swap.
+    """
+    degs = list(map(int.bit_count, cur))
+    found = enumerate_r_cliques(Graph._raw(n, tuple(cur)), r)
+    cliques = sorted(((sum(degs[v] for v in c), c.bits) for c in found), reverse=True)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if cur[u] >> v & 1]
+    holes = [(u, v) for u in range(n) for v in range(u + 1, n) if not cur[u] >> v & 1]
+    rows = list(cur)  # cur with the removed edge taken out; degs follow it
+    nb_val: Optional[int] = None
+    nb_key = None
+    nb_adj = None
+    for eu, ev in edges:
+        # the best kept sum, and the union of the kept cliques attaining it
+        kept_best, kept_top = 0, 0
+        for s, bits in cliques:
+            if s < kept_best:
+                break  # every later sum, adjusted or not, is lower still
+            held = (bits >> eu & 1) + (bits >> ev & 1)
+            if held == 2:
+                continue
+            s -= held
+            if s > kept_best:
+                kept_best, kept_top = s, bits
+            elif s == kept_best:
+                kept_top |= bits
+        if nb_val is not None and kept_best > nb_val:
+            continue  # every swap removing this edge is worse
+        rows[eu] ^= 1 << ev
+        rows[ev] ^= 1 << eu
+        degs[eu] -= 1
+        degs[ev] -= 1
+        by_degree = sorted(range(n), key=degs.__getitem__, reverse=True)
+        for hu, hv in holes:
+            val = kept_best + ((kept_top >> hu | kept_top >> hv) & 1)
+            if nb_val is not None and val > nb_val:
+                continue
+            if r == 2:
+                val = max(val, degs[hu] + degs[hv] + 2)
+            elif r > 2:
+                # a clique through (hu, hv) adds an (r-2)-clique of their common
+                # neighbourhood, which cannot beat the r-2 largest degrees there
+                ends = degs[hu] + degs[hv] + 2
+                common = rows[hu] & rows[hv]
+                bound, need = ends, r - 2
+                for x in by_degree:
+                    if common >> x & 1:
+                        bound += degs[x]
+                        need -= 1
+                        if not need:
+                            break
+                if not need and bound > val:
+                    if r == 3:
+                        val = bound
+                    else:
+                        # emptied rows outside the common neighbourhood keep every
+                        # clique of two or more vertices inside it
+                        sub = [a & common if common >> x & 1 else 0 for x, a in enumerate(rows)]
+                        limit = None if nb_val is None else nb_val - ends
+                        inner = max_degree_sum_value(sub, degs, r - 2, abort_above=limit)
+                        if inner is None:
+                            continue
+                        if inner:  # 0: the common neighbourhood holds no (r-2)-clique
+                            val = max(val, ends + inner)
+            if nb_val is not None and val > nb_val:
+                continue
+            cand = list(rows)
+            cand[hu] |= 1 << hv
+            cand[hv] |= 1 << hu
+            if nb_val is None or val < nb_val:
+                nb_val, nb_key, nb_adj = val, _graph_key(cand, n), cand
+            else:
+                key = _graph_key(cand, n)
+                if key < nb_key:
+                    nb_key, nb_adj = key, cand
+        rows[eu] |= 1 << ev
+        rows[ev] |= 1 << eu
+        degs[eu] += 1
+        degs[ev] += 1
+    return nb_val, nb_key, nb_adj
+
+
 def extremal_degree_sum_local_search(
     n: int,
     m: int,
@@ -399,10 +496,14 @@ def extremal_degree_sum_local_search(
     """Upper bound on the exact minimum via steepest-descent edge swaps.
 
     One start from the near-regular graph plus ``restarts`` seeded
-    random starts (restart i uses seed + i).  A move removes one edge
-    and adds one non-edge; ties in the objective are broken by the
-    graph key, and plateau moves (equal objective, strictly smaller
-    key) are limited to ``iter_budget`` per start.  Deterministic given
+    random starts (restart i uses seed + i), at most ``MAX_RESTARTS``.
+    A move removes one edge and adds one non-edge; ties in the objective
+    are broken by the graph key, and plateau moves (equal objective,
+    strictly smaller key) are limited to ``iter_budget`` per start.
+    Swaps are evaluated incrementally from the current graph's cliques
+    (see ``_best_swap``) with results identical to re-evaluating every
+    swapped graph.  graphs_examined counts the starts plus every
+    candidate swap considered, m(N - m) per step.  Deterministic given
     the seed.
     """
     if n < 1:
@@ -416,55 +517,29 @@ def extremal_degree_sum_local_search(
         raise ValueError(f"edge count {m} outside 0..{len(slots)}")
     if restarts < 0 or iter_budget < 0:
         raise ValueError("restarts and iter-budget must be nonnegative")
-
-    def evaluate(adj) -> int:
-        degs = [a.bit_count() for a in adj]
-        return max_degree_sum_value(adj, degs, r)
-
-    starts = [list(near_regular_graph(n, m).adj)]
-    for i in range(1, restarts + 1):
-        rng = random.Random(seed + i)
-        adj = [0] * n
-        for u, v in rng.sample(slots, m):
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        starts.append(adj)
+    if restarts > MAX_RESTARTS:
+        raise ResourceLimitError(f"restart count {restarts} exceeds cap {MAX_RESTARTS}")
 
     evals = 0
     best_val: Optional[int] = None
     best_key = None
-    for adj in starts:
-        cur = adj
-        cur_val = evaluate(cur)
+    for i in range(restarts + 1):
+        if i == 0:
+            cur = list(near_regular_graph(n, m).adj)
+        else:
+            cur = [0] * n
+            for u, v in random.Random(seed + i).sample(slots, m):
+                cur[u] |= 1 << v
+                cur[v] |= 1 << u
+        cur_val = max_degree_sum_value(cur, list(map(int.bit_count, cur)), r)
         evals += 1
         cur_key = _graph_key(cur, n)
         if best_val is None or (cur_val, cur_key) < (best_val, best_key):
             best_val, best_key = cur_val, cur_key
         plateau = 0
         while True:
-            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if cur[u] >> v & 1]
-            holes = [(u, v) for u in range(n) for v in range(u + 1, n) if not cur[u] >> v & 1]
-            nb_val: Optional[int] = None
-            nb_key = None
-            nb_adj = None
-            for eu, ev in edges:
-                for hu, hv in holes:
-                    cand = list(cur)
-                    cand[eu] &= ~(1 << ev)
-                    cand[ev] &= ~(1 << eu)
-                    cand[hu] |= 1 << hv
-                    cand[hv] |= 1 << hu
-                    degs = [a.bit_count() for a in cand]
-                    val = max_degree_sum_value(cand, degs, r, abort_above=nb_val)
-                    evals += 1
-                    if val is None:
-                        continue
-                    if nb_val is None or val < nb_val:
-                        nb_val, nb_key, nb_adj = val, _graph_key(cand, n), cand
-                    elif val == nb_val:
-                        key = _graph_key(cand, n)
-                        if key < nb_key:
-                            nb_key, nb_adj = key, cand
+            nb_val, nb_key, nb_adj = _best_swap(cur, n, r)
+            evals += m * (len(slots) - m)
             if nb_val is None:
                 break
             if nb_val < cur_val:

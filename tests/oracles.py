@@ -1,10 +1,12 @@
 """Naive reference implementations used as independent oracles.
 
 Everything here works on plain edge lists with sets and itertools, on
-purpose: no bitmasks, no shared code with the package under test.
+purpose: no bitmask adjacency, no shared code with the package under test.
 """
 
+import functools
 import itertools
+import random
 
 
 def naive_degrees(n, edges):
@@ -79,6 +81,27 @@ def naive_graph6(n, edges):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_weights(n):
+    """For each vertex permutation, the weight 2^(N-1-k) of each vertex pair
+    (u, v), u < v, that lands at position k of the column-order bitstring."""
+    nslots = n * (n - 1) // 2
+    out = []
+    for perm in itertools.permutations(range(n)):
+        # position i holds the old vertex perm[i]
+        pairs = [tuple(sorted((perm[i], perm[j]))) for j in range(1, n) for i in range(j)]
+        out.append({p: 1 << (nslots - 1 - k) for k, p in enumerate(pairs)})
+    return out
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _least_bitstring(n, pairs):
+    """The least column-order upper-triangle bitstring of the graph with edges
+    ``pairs`` (a tuple of (u, v), u < v) over every vertex permutation."""
+    least = min(sum(map(w.__getitem__, pairs)) for w in _pair_weights(n))
+    return format(least, f"0{n * (n - 1) // 2}b") if n > 1 else ""
+
+
 def naive_least_minimizer_g6(n, m, r):
     """graph6 of the least canonical form among the labeled (n, m)-graphs that
     minimize the max r-clique degree sum: the least column-order bitstring
@@ -87,19 +110,65 @@ def naive_least_minimizer_g6(n, m, r):
     graphs = list(itertools.combinations(slots, m))
     values = [naive_max_clique_degree_sum(n, edges, r) for edges in graphs]
     low = min(values)
-    best = None
-    for edges, value in zip(graphs, values):
-        if value != low:
-            continue
-        mat = [[False] * n for _ in range(n)]
-        for u, v in edges:
-            mat[u][v] = mat[v][u] = True
-        for perm in itertools.permutations(range(n)):
-            # position i holds the old vertex perm[i]
-            bits = "".join(
-                "1" if mat[perm[i]][perm[j]] else "0" for j in range(1, n) for i in range(j)
-            )
-            if best is None or bits < best:
-                best = bits
+    best = min(_least_bitstring(n, edges) for edges, value in zip(graphs, values) if value == low)
     pairs = [(i, j) for j in range(1, n) for i in range(j)]
     return naive_graph6(n, [p for p, bit in zip(pairs, best) if bit == "1"])
+
+
+def naive_local_search(n, m, r, seed, restarts, iter_budget, start):
+    """Steepest-descent edge swaps from ``start`` (an edge list, the near-regular
+    start) and ``restarts`` random starts, written out longhand.
+
+    Every swap's objective is recomputed from scratch.  Ties go to the least
+    key: for n <= 6 the least bitstring over all vertex permutations, whose
+    graph is the witness; for n >= 9 the tuple of adjacency row bitmasks.
+    Returns (delta_min, graph6 witness, graphs examined) as the library
+    reports them.
+    """
+    if 6 < n < 9:
+        raise ValueError("the permutation key is too slow above n = 6")
+    slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+    def key(eset):
+        if n <= 6:
+            return _least_bitstring(n, tuple(sorted(tuple(sorted(e)) for e in eset)))
+        return tuple(sum(1 << v for v in range(n) if frozenset((u, v)) in eset) for u in range(n))
+
+    def value(eset):
+        return naive_max_clique_degree_sum(n, [tuple(e) for e in eset], r)
+
+    starts = [start] + [random.Random(seed + i).sample(slots, m) for i in range(1, restarts + 1)]
+    examined = 0
+    best = None  # (value, key, edge set)
+    for edges in starts:
+        cur = frozenset(frozenset(e) for e in edges)
+        cur_val = value(cur)
+        examined += 1
+        plateau = 0
+        while True:
+            if best is None or (cur_val, key(cur)) < best[:2]:
+                best = (cur_val, key(cur), cur)
+            present = [frozenset(s) for s in slots if frozenset(s) in cur]
+            absent = [frozenset(s) for s in slots if frozenset(s) not in cur]
+            cands = [(cur - {e}) | {h} for e in present for h in absent]
+            examined += len(cands)
+            if not cands:
+                break
+            values = [value(c) for c in cands]
+            low = min(values)
+            # the first candidate in (removed, added) order with the least key
+            nb = min((c for c, v in zip(cands, values) if v == low), key=key)
+            if low < cur_val:
+                cur, cur_val = nb, low
+            elif low == cur_val and key(nb) < key(cur) and plateau < iter_budget:
+                plateau += 1
+                cur = nb
+            else:
+                break
+    low, least, graph = best
+    if n <= 6:
+        pairs = [(i, j) for j in range(1, n) for i in range(j)]
+        witness = [p for p, bit in zip(pairs, least) if bit == "1"]
+    else:
+        witness = [tuple(sorted(e)) for e in graph]
+    return low, naive_graph6(n, witness), examined

@@ -2,7 +2,7 @@ import json
 
 from cliquedeg import from_edges, to_edge_list_text, to_graph6
 from cliquedeg.cli import main
-from cliquedeg.extremal import MAX_WORKERS
+from cliquedeg.extremal import MAX_RESTARTS, MAX_WORKERS
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +117,11 @@ def test_exit_codes_on_errors(capsys, tmp_path):
     assert code == 1 and "error" in err
     code, _, err = run_cli(
         capsys, "extremal", "--n", "6", "--m", "9", "--r", "2", "--workers", str(MAX_WORKERS + 1)
+    )
+    assert code == 1 and "cap" in err
+    code, _, err = run_cli(
+        capsys, "extremal", "--n", "12", "--m", "30", "--r", "3",
+        "--mode", "local-search", "--restarts", str(MAX_RESTARTS + 1),
     )
     assert code == 1 and "cap" in err
     code, _, err = run_cli(capsys, "stability", "--n", "5", "--r", "2", "--epsilon", "1/0")

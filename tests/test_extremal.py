@@ -21,6 +21,7 @@ from cliquedeg import (
     StabilityParams,
 )
 from cliquedeg.extremal import (
+    MAX_RESTARTS,
     MAX_WORKERS,
     _band_failure,
     graph_from_triangle_bits,
@@ -30,7 +31,7 @@ from cliquedeg.extremal import (
 from cliquedeg.greedy import _floor_failure, _mean_failure
 
 from conftest import slot_pairs
-from oracles import naive_least_minimizer_g6, naive_min_over_graphs
+from oracles import naive_least_minimizer_g6, naive_local_search, naive_min_over_graphs
 
 
 def test_enumerate_counts():
@@ -237,6 +238,49 @@ def test_workers_cap_raises_before_any_pool():
     assert MAX_WORKERS >= 4
     with pytest.raises(ResourceLimitError):
         extremal_degree_sum_min(6, 9, 2, workers=MAX_WORKERS + 1)
+
+
+def test_restarts_cap_raises_before_any_start(monkeypatch):
+    import cliquedeg.extremal as ext
+
+    calls = []
+    build = ext.near_regular_graph
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(ext, "near_regular_graph", counting)
+    with pytest.raises(ResourceLimitError):
+        extremal_degree_sum_local_search(12, 30, 3, restarts=MAX_RESTARTS + 1)
+    assert len(calls) == 0
+    extremal_degree_sum_local_search(5, 4, 2, restarts=0)
+    assert len(calls) == 1
+
+
+def test_local_search_matches_naive_oracle():
+    # every n <= 6 cell covers r = 1, r = 2, r > n, m = 0 and m = N; the n = 9, 10
+    # cells break ties by the labeled key instead of the canonical one
+    cells = [
+        (n, m, r, m, restarts, 200)
+        for n in range(1, 7)
+        for m in range(n * (n - 1) // 2 + 1)
+        for r in range(1, n + 2)
+        for restarts in (0, 2)
+    ]
+    cells += [
+        (9, 24, 3, 2, 1, 30),
+        (9, 30, 4, 0, 1, 30),
+        (9, 33, 5, 3, 0, 30),
+        (10, 34, 4, 2, 0, 30),
+    ]
+    for n, m, r, seed, restarts, budget in cells:
+        start = list(near_regular_graph(n, m).edges())
+        want = naive_local_search(n, m, r, seed, restarts, budget, start)
+        rec = extremal_degree_sum_local_search(
+            n, m, r, seed=seed, restarts=restarts, iter_budget=budget
+        )
+        assert (rec.delta_min, rec.witness_g6, rec.graphs_examined) == want, (n, m, r, restarts)
 
 
 def test_local_search_reaches_known_minima():
