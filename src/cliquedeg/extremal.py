@@ -95,7 +95,7 @@ def enumerate_graphs(n: int, m: int) -> Iterator[Graph]:
     if n > CANONICAL_MAX_N:
         raise ResourceLimitError(
             f"exhaustive enumeration capped at n={CANONICAL_MAX_N}; "
-            "use canonical or local-search modes for larger graphs"
+            "use local-search mode for larger graphs"
         )
     nslots = n * (n - 1) // 2
     if m < 0 or m > nslots:
@@ -260,36 +260,37 @@ def _make_record(n, m, r, mode, value, witness: Graph, examined) -> ScanRecord:
 def _check_exact_cells(
     n: int, r: int, ms, mode: str, max_graphs: Optional[int], workers: int = 1
 ) -> None:
-    """Every argument check of an exact scan, run on the cells (n, m, r) for
-    m in ``ms`` in order, so that a bad cell raises before any cell is scanned."""
+    """Every argument check of an exact scan over the cells (n, m, r) for m in
+    ``ms``: the shared arguments first, then each m in order, so that a bad
+    cell raises before any cell is scanned, and an empty range still checks."""
+    if n < 1:
+        raise ValueError(f"vertex count must be at least 1, got {n}")
+    if r < 1:
+        raise ValueError(f"clique size must be at least 1, got {r}")
+    if mode == "exhaustive":
+        if n > EXHAUSTIVE_MAX_N:
+            raise ResourceLimitError(
+                f"exhaustive mode capped at n={EXHAUSTIVE_MAX_N}; "
+                "use canonical (n=8) or local-search modes"
+            )
+    elif mode == "canonical":
+        if n > CANONICAL_MAX_N:
+            raise ResourceLimitError(
+                f"canonical mode capped at n={CANONICAL_MAX_N}; use local-search"
+            )
+    else:
+        raise ValueError(f"unknown exact mode {mode!r}")
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
+    if workers > MAX_WORKERS:
+        raise ResourceLimitError(f"worker count {workers} exceeds cap {MAX_WORKERS}")
+    nslots = n * (n - 1) // 2
     for m in ms:
-        if n < 1:
-            raise ValueError(f"vertex count must be at least 1, got {n}")
-        if r < 1:
-            raise ValueError(f"clique size must be at least 1, got {r}")
-        nslots = n * (n - 1) // 2
         if m < 0 or m > nslots:
             raise ValueError(f"edge count {m} outside 0..{nslots}")
-        if mode == "exhaustive":
-            if n > EXHAUSTIVE_MAX_N:
-                raise ResourceLimitError(
-                    f"exhaustive mode capped at n={EXHAUSTIVE_MAX_N}; "
-                    "use canonical (n=8) or local-search modes"
-                )
-        elif mode == "canonical":
-            if n > CANONICAL_MAX_N:
-                raise ResourceLimitError(
-                    f"canonical mode capped at n={CANONICAL_MAX_N}; use local-search"
-                )
-        else:
-            raise ValueError(f"unknown exact mode {mode!r}")
         total = math.comb(nslots, m)
         if max_graphs is not None and total > max_graphs:
             raise ResourceLimitError(f"{total} graphs exceed max-graphs limit {max_graphs}")
-        if workers < 1:
-            raise ValueError(f"worker count must be at least 1, got {workers}")
-        if workers > MAX_WORKERS:
-            raise ResourceLimitError(f"worker count {workers} exceeds cap {MAX_WORKERS}")
 
 
 def extremal_degree_sum_min(
@@ -485,6 +486,25 @@ def _best_swap(cur: list[int], n: int, r: int):
     return nb_val, nb_key, nb_adj
 
 
+def _check_local_search_cells(n: int, r: int, ms, restarts: int, iter_budget: int) -> None:
+    """Every argument check of a local search over the cells (n, m, r) for m
+    in ``ms``: the shared arguments first, then each m in order."""
+    if n < 1:
+        raise ValueError(f"vertex count must be at least 1, got {n}")
+    if n > VERTEX_CAP:
+        raise ResourceLimitError(f"vertex count {n} exceeds cap {VERTEX_CAP}")
+    if r < 1:
+        raise ValueError(f"clique size must be at least 1, got {r}")
+    if restarts < 0 or iter_budget < 0:
+        raise ValueError("restarts and iter-budget must be nonnegative")
+    if restarts > MAX_RESTARTS:
+        raise ResourceLimitError(f"restart count {restarts} exceeds cap {MAX_RESTARTS}")
+    nslots = n * (n - 1) // 2
+    for m in ms:
+        if m < 0 or m > nslots:
+            raise ValueError(f"edge count {m} outside 0..{nslots}")
+
+
 def extremal_degree_sum_local_search(
     n: int,
     m: int,
@@ -506,20 +526,8 @@ def extremal_degree_sum_local_search(
     candidate swap considered, m(N - m) per step.  Deterministic given
     the seed.
     """
-    if n < 1:
-        raise ValueError(f"vertex count must be at least 1, got {n}")
-    if n > VERTEX_CAP:
-        raise ResourceLimitError(f"vertex count {n} exceeds cap {VERTEX_CAP}")
-    if r < 1:
-        raise ValueError(f"clique size must be at least 1, got {r}")
+    _check_local_search_cells(n, r, (m,), restarts, iter_budget)
     slots = _slots(n)
-    if m < 0 or m > len(slots):
-        raise ValueError(f"edge count {m} outside 0..{len(slots)}")
-    if restarts < 0 or iter_budget < 0:
-        raise ValueError("restarts and iter-budget must be nonnegative")
-    if restarts > MAX_RESTARTS:
-        raise ResourceLimitError(f"restart count {restarts} exceeds cap {MAX_RESTARTS}")
-
     evals = 0
     best_val: Optional[int] = None
     best_key = None
@@ -575,11 +583,16 @@ def scan_m(
     workers: int = 1,
     max_graphs: Optional[int] = None,
 ) -> list[ScanRecord]:
-    """One record per edge count in [m_from, m_to]; empty range gives an empty list."""
-    if mode != "local-search":
-        _check_exact_cells(n, r, range(m_from, m_to + 1), mode, max_graphs, workers)
+    """One record per edge count in [m_from, m_to]; empty range gives an empty list.
+
+    Every argument of every cell is checked before the first search."""
+    ms = range(m_from, m_to + 1)
+    if mode == "local-search":
+        _check_local_search_cells(n, r, ms, restarts, iter_budget)
+    else:
+        _check_exact_cells(n, r, ms, mode, max_graphs, workers)
     records = []
-    for m in range(m_from, m_to + 1):
+    for m in ms:
         if mode == "local-search":
             records.append(
                 extremal_degree_sum_local_search(

@@ -3,8 +3,10 @@
 The construction starts from a maximum-degree vertex and repeatedly
 appends a maximum-degree vertex of the common neighborhood of the
 vertices chosen so far, until that neighborhood is empty.  Degree ties
-make the outcome non-unique; ``greedy_sequence`` resolves ties by
-lowest index, ``all_greedy_sequences`` branches on every tie.
+make the outcome non-unique.  One depth-first walker yields every run
+in lexicographic order: ``all_greedy_sequences`` collects its runs,
+and ``greedy_sequence`` is its first run, the one that breaks every
+tie by lowest index.
 
 The check functions evaluate, per graph, the bounds that every such
 sequence must satisfy once the edge count reaches the balanced
@@ -25,7 +27,7 @@ preserves every quantity checked while avoiding factorial blowup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .graph6 import to_graph6
 from .graphs import Graph, ResourceLimitError, _bits
@@ -47,64 +49,64 @@ class GreedySequence:
     tie_policy: str  # "lowest-index" or "all-branches"
 
 
-def greedy_sequence(g: Graph) -> GreedySequence:
-    """Run the construction once, breaking every degree tie by lowest vertex index."""
+def _degree_classes(degs) -> list[tuple[int, int]]:
+    """(degree, vertex mask) for each degree present, highest degree first."""
+    masks: dict[int, int] = {}
+    for v, d in enumerate(degs):
+        masks[d] = masks.get(d, 0) | 1 << v
+    return sorted(masks.items(), reverse=True)
+
+
+def _top(cand: int, classes: list[tuple[int, int]]) -> tuple[int, int]:
+    """The greedy step: the top degree among the nonempty candidate set
+    ``cand`` and the mask of the candidates that have it."""
+    for d, mask in classes:
+        if cand & mask:
+            return d, cand & mask
+
+
+def _runs(g: Graph) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every greedy run as (vertices, prefix degree sums), depth first.
+
+    Choices are tried in increasing vertex order, so the runs come in
+    lexicographic order of their vertex tuples, each once.
+    """
     if g.n == 0:
         raise ValueError("greedy construction needs at least one vertex")
     adj = g.adj
-    degs = g.degrees()
-    cand = g.full_mask
-    vertices: list[int] = []
-    sums: list[int] = []
-    total = 0
-    while cand:
-        pick = -1
-        best = -1
-        for v in _bits(cand):
-            if degs[v] > best:
-                best = degs[v]
-                pick = v
-        vertices.append(pick)
-        total += best
-        sums.append(total)
-        cand &= adj[pick]
-    return GreedySequence(tuple(vertices), tuple(sums), "lowest-index")
+    classes = _degree_classes(g.degrees())
+
+    def rec(verts, sums, total, cand):
+        if not cand:
+            yield verts, sums
+            return
+        d, top = _top(cand, classes)
+        total += d
+        for v in _bits(top):
+            yield from rec(verts + (v,), sums + (total,), total, cand & adj[v])
+
+    return rec((), (), 0, g.full_mask)
+
+
+def greedy_sequence(g: Graph) -> GreedySequence:
+    """Run the construction once, breaking every degree tie by lowest vertex index."""
+    vertices, sums = next(_runs(g))
+    return GreedySequence(vertices, sums, "lowest-index")
 
 
 def all_greedy_sequences(g: Graph, branch_cap: int = DEFAULT_BRANCH_CAP) -> list[GreedySequence]:
     """Every vertex sequence the construction can produce, over all tie choices.
 
-    Returns the deduplicated sequences sorted by vertex tuple.  Raises
+    Returns the distinct sequences sorted by vertex tuple.  Raises
     ResourceLimitError once more than ``branch_cap`` sequences complete.
     """
     if branch_cap < 1:
         raise ValueError(f"branch cap must be at least 1, got {branch_cap}")
-    if g.n == 0:
-        raise ValueError("greedy construction needs at least one vertex")
-    adj = g.adj
-    degs = g.degrees()
     out: list[GreedySequence] = []
-
-    def rec(prefix: list[int], sums: list[int], cand: int):
-        if not cand:
-            if len(out) >= branch_cap:
-                raise ResourceLimitError(
-                    f"greedy tie branching exceeded branch cap {branch_cap}"
-                )
-            out.append(GreedySequence(tuple(prefix), tuple(sums), "all-branches"))
-            return
-        best = max(degs[v] for v in _bits(cand))
-        base = sums[-1] if sums else 0
-        for v in _bits(cand):
-            if degs[v] == best:
-                prefix.append(v)
-                sums.append(base + best)
-                rec(prefix, sums, cand & adj[v])
-                prefix.pop()
-                sums.pop()
-
-    rec([], [], g.full_mask)
-    out.sort(key=lambda s: s.vertices)
+    for vertices, sums in _runs(g):
+        if len(out) >= branch_cap:
+            raise ResourceLimitError(f"greedy tie branching exceeded branch cap {branch_cap}")
+        out.append(GreedySequence(vertices, sums, "all-branches"))
     return out
 
 
@@ -123,6 +125,7 @@ def _prefix_search(
     branch chooses first to (candidates, degree sum).
     """
     n = len(adj)
+    classes = _degree_classes(degs)
     level: dict[int, tuple[int, int]] = {0: ((1 << n) - 1, 0)}
     levels = [level]
     shortest_stop: Optional[int] = None
@@ -133,24 +136,14 @@ def _prefix_search(
                 if shortest_stop is None:
                     shortest_stop = depth
                 continue
-            best = -1
-            chosen: list[int] = []
-            w = cand
-            while w:
-                b = w & -w
-                v = b.bit_length() - 1
-                w ^= b
-                d = degs[v]
-                if d > best:
-                    best = d
-                    chosen = [v]
-                elif d == best:
-                    chosen.append(v)
-            acc2 = acc + best
-            for v in chosen:
-                ns = state | 1 << v
+            d, top = _top(cand, classes)
+            acc += d
+            while top:
+                b = top & -top
+                top ^= b
+                ns = state | b
                 if ns not in nxt:
-                    nxt[ns] = (cand & adj[v], acc2)
+                    nxt[ns] = (cand & adj[b.bit_length() - 1], acc)
         if not nxt:
             return shortest_stop, None, None, levels
         level = nxt
@@ -172,15 +165,16 @@ def greedy_prefix_extremes(
 def _best_run(levels: list[dict[int, tuple[int, int]]], degs, best_sum: int) -> tuple[int, ...]:
     """One greedy run whose first-r degree sum is ``best_sum``: the least final
     set with that sum, unwound through the least parent set of each set."""
+    classes = _degree_classes(degs)
     state = min(s for s, (_, acc) in levels[-1].items() if acc == best_sum)
     run = []
     for prev in reversed(levels[:-1]):
-        # Every chosen set is a clique, so v is a candidate of parent; it was a
-        # greedy choice there iff it has the candidates' top degree.  Dropping
-        # higher vertices first visits the parents in increasing order.
+        # v was a greedy choice at parent iff it is among parent's top
+        # candidates.  Dropping higher vertices first visits the parents in
+        # increasing order.
         for v in sorted(_bits(state), reverse=True):
             parent = state ^ 1 << v
-            if parent in prev and degs[v] == max(degs[u] for u in _bits(prev[parent][0])):
+            if parent in prev and _top(prev[parent][0], classes)[1] >> v & 1:
                 break
         run.append(v)
         state = parent

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 from .graphs import VERTEX_CAP, Graph, ResourceLimitError
 
+MAX_PARTS = 65_536  # parts one decomposition may list
+
 
 @dataclass(frozen=True)
 class TuranDecomposition:
@@ -43,6 +45,8 @@ def turan_decomposition(r: int, n: int) -> TuranDecomposition:
         raise ValueError(f"part count must be at least 1, got {r}")
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
+    if r > MAX_PARTS:
+        raise ResourceLimitError(f"part count {r} exceeds cap {MAX_PARTS}")
     q, s = divmod(n, r)
     parts = (q + 1,) * s + (q,) * (r - s)
     return TuranDecomposition(r=r, n=n, parts=parts, s=s, t=turan_size(r, n))
@@ -85,8 +89,8 @@ def turan_graph(r: int, n: int, cap: int = VERTEX_CAP) -> tuple[Graph, TuranDeco
     graph is then complete on n vertices); they remain in the
     decomposition so that the part list always has r entries.
     """
-    dec = turan_decomposition(r, n)
     if n > cap:
         raise ResourceLimitError(f"vertex count {n} exceeds cap {cap}")
+    dec = turan_decomposition(r, n)
     # for r > n the parts are n ones followed by zeros
     return _multipartite(n, dec.parts if r <= n else dec.parts[:n]), dec

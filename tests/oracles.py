@@ -66,6 +66,18 @@ def naive_greedy_sequences(n, edges):
     return out
 
 
+def naive_prefix_extremes(n, edges, r):
+    """(shortest_stop, min_sum, max_sum) over the ordered greedy runs: the
+    shortest run length below r (None when every run reaches r), and the
+    least and largest first-r degree sums of the runs that reach r (None
+    when none does)."""
+    deg = naive_degrees(n, edges)
+    runs = naive_greedy_sequences(n, edges)
+    short = [len(s) for s in runs if len(s) < r]
+    full = [sum(deg[v] for v in s[:r]) for s in runs if len(s) >= r]
+    return min(short, default=None), min(full, default=None), max(full, default=None)
+
+
 def naive_graph6(n, edges):
     """Column-order upper-triangle graph6 encoding, written out longhand."""
     eset = {frozenset(e) for e in edges}

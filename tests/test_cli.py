@@ -3,6 +3,7 @@ import json
 from cliquedeg import from_edges, to_edge_list_text, to_graph6
 from cliquedeg.cli import main
 from cliquedeg.extremal import MAX_RESTARTS, MAX_WORKERS
+from cliquedeg.turan import MAX_PARTS
 
 
 def run_cli(capsys, *argv):
@@ -132,6 +133,12 @@ def test_exit_codes_on_errors(capsys, tmp_path):
     assert code == 1 and "offset" in err
     code, _, _ = run_cli(capsys, "delta", "--input", str(tmp_path / "missing"), "--r", "2")
     assert code == 1
+
+
+def test_turan_part_count_over_cap_exits_1(capsys):
+    code, out, err = run_cli(capsys, "turan", "--r", str(MAX_PARTS + 1), "--n", "5")
+    assert code == 1 and out == ""
+    assert err == f"cliquedeg: error: part count {MAX_PARTS + 1} exceeds cap {MAX_PARTS}\n"
 
 
 def test_byte_identical_output_for_identical_config(capsys):

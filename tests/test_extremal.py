@@ -258,6 +258,41 @@ def test_restarts_cap_raises_before_any_start(monkeypatch):
     assert len(calls) == 1
 
 
+def test_local_search_scan_checks_every_cell_before_the_first_search(monkeypatch):
+    import cliquedeg.extremal as ext
+
+    calls = []
+    build = ext.near_regular_graph
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(ext, "near_regular_graph", counting)
+    with pytest.raises(ValueError, match="edge count 11 outside 0..10"):
+        scan_m(5, 2, 8, 11, mode="local-search")
+    with pytest.raises(ResourceLimitError, match="restart count"):
+        scan_m(5, 2, 8, 10, mode="local-search", restarts=MAX_RESTARTS + 1)
+    assert len(calls) == 0
+    assert len(scan_m(5, 2, 9, 10, mode="local-search", restarts=0)) == 2
+    assert len(calls) == 2
+
+
+def test_empty_ranges_still_check_their_arguments():
+    with pytest.raises(ValueError, match="unknown exact mode 'bogus'"):
+        scan_m(5, 2, 3, 2, mode="bogus")
+    with pytest.raises(ValueError, match="clique size must be at least 1"):
+        scan_m(5, 0, 3, 2)
+    with pytest.raises(ResourceLimitError, match="worker count 99 exceeds cap"):
+        scan_m(5, 2, 3, 2, workers=99)
+    with pytest.raises(ResourceLimitError, match="exhaustive mode capped"):
+        scan_m(9, 2, 3, 2)
+    with pytest.raises(ValueError, match="restarts and iter-budget"):
+        scan_m(5, 2, 3, 2, mode="local-search", restarts=-1)
+    assert scan_m(5, 2, 3, 2) == []
+    assert scan_m(5, 2, 3, 2, mode="local-search") == []
+
+
 def test_local_search_matches_naive_oracle():
     # every n <= 6 cell covers r = 1, r = 2, r > n, m = 0 and m = N; the n = 9, 10
     # cells break ties by the labeled key instead of the canonical one

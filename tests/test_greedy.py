@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from cliquedeg import (
 from cliquedeg.greedy import _floor_failure, _mean_failure, greedy_prefix_extremes
 
 from conftest import graphs, slot_pairs
-from oracles import naive_greedy_sequences
+from oracles import naive_degrees, naive_greedy_sequences, naive_prefix_extremes
 
 
 def star4():
@@ -253,3 +254,34 @@ def test_strict_floor_above_threshold(g, r):
     rep = check_floor_bound(g, r)
     assert rep.ok and not rep.equality_attained
     assert rep.min_first_r_sum > rep.floor
+
+
+def _check_against_naive_runs(g):
+    n, edges = g.n, list(g.edges())
+    runs = naive_greedy_sequences(n, edges)
+    deg = naive_degrees(n, edges)
+    assert greedy_sequence(g).vertices == min(runs)
+    for r in range(1, n + 2):
+        expect = naive_prefix_extremes(n, edges, r)
+        assert greedy_prefix_extremes(g.adj, g.degrees(), r) == expect, (to_graph6(g), r)
+        if 2 <= r <= n and g.m >= turan_size(r, n):
+            rep = check_mean_bound(g, r)
+            assert rep.ok and rep.best_first_r_sum == expect[2]
+            assert any(
+                s[:r] == rep.witness and sum(deg[v] for v in s[:r]) == expect[2] for s in runs
+            ), (to_graph6(g), r)
+
+
+def test_greedy_walkers_match_naive_runs():
+    # every graph on up to 5 vertices, then seeded random graphs on 6 and 7
+    for n in range(1, 6):
+        pairs = slot_pairs(n)
+        for mask in range(2 ** len(pairs)):
+            edges = [p for k, p in enumerate(pairs) if mask >> k & 1]
+            _check_against_naive_runs(from_edges(n, edges))
+    rng = random.Random(6)
+    for n in (6, 7):
+        pairs = slot_pairs(n)
+        for _ in range(300):
+            density = rng.random()
+            _check_against_naive_runs(from_edges(n, [p for p in pairs if rng.random() < density]))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from cliquedeg import (
@@ -8,6 +10,8 @@ from cliquedeg import (
     turan_graph,
     turan_size,
 )
+from cliquedeg.graphs import VERTEX_CAP
+from cliquedeg.turan import MAX_PARTS
 
 
 def test_turan_size_derived_values():
@@ -100,3 +104,25 @@ def test_parts_balanced_and_match_edge_count():
             # edge count from the parts directly
             from_parts = (n * n - sum(k * k for k in dec.parts)) // 2
             assert from_parts == dec.t
+
+
+def test_part_count_cap_raises_before_the_part_list_exists():
+    # a part tuple of MAX_PARTS + 1 entries takes over 500 kB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="part count"):
+            turan_decomposition(MAX_PARTS + 1, 5)
+        with pytest.raises(ResourceLimitError, match="part count"):
+            turan_graph(MAX_PARTS + 1, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000
+    assert len(turan_decomposition(MAX_PARTS, 5).parts) == MAX_PARTS
+
+
+def test_turan_graph_checks_the_vertex_cap_first():
+    with pytest.raises(ResourceLimitError, match="vertex count"):
+        turan_graph(0, VERTEX_CAP + 1)
+    with pytest.raises(ResourceLimitError, match="vertex count"):
+        turan_graph(MAX_PARTS + 1, VERTEX_CAP + 1)
