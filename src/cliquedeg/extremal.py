@@ -125,9 +125,16 @@ def _canonical_chunks(adj, n: int) -> tuple[int, ...]:
     The encoding is one integer "chunk" per position j >= 1 holding the
     adjacency bits of the j-th placed vertex to the previously placed
     ones.  Branch-and-bound: subtrees whose prefix already exceeds the
-    best known encoding are pruned.
+    best known encoding are pruned.  Twin pruning: when two unused
+    vertices have the same neighbours apart from each other, swapping
+    them is an automorphism that fixes the prefix, so their subtrees hold
+    the same encodings and only the first one tried is searched.
     """
     best: tuple[int, ...] = ()
+    twins = [
+        sum(1 << t for t in range(n) if (adj[w] ^ adj[t]) & ~(1 << w | 1 << t) == 0) & ~(1 << w)
+        for w in range(n)
+    ]
 
     def rec(chosen: list[int], chunks: list[int], used: int, tight: bool) -> bool:
         # tight: the prefix so far equals best's, so only a smaller leaf improves it
@@ -148,7 +155,11 @@ def _canonical_chunks(adj, n: int) -> tuple[int, ...]:
             cands.append((c, w))
         cands.sort()
         improved_here = False
+        tried = 0
         for c, w in cands:
+            if twins[w] & tried:
+                continue
+            tried |= 1 << w
             child_tight = tight
             if tight and j >= 1:
                 bc = best[j - 1]

@@ -34,6 +34,7 @@ from .graphs import Graph, ResourceLimitError, _bits
 from .turan import turan_size
 
 DEFAULT_BRANCH_CAP = 100_000
+MAX_PREFIX_SETS = 100_000  # prefix sets one prefix-set scan may keep over all levels
 
 
 class PreconditionError(ValueError):
@@ -122,12 +123,14 @@ def _prefix_search(
     vertices (None when every branch reaches depth r), min_sum/max_sum
     range over the first-r degree sums of branches that reach depth r
     (None when none does), and levels[k] maps each k-vertex set that some
-    branch chooses first to (candidates, degree sum).
+    branch chooses first to (candidates, degree sum).  Raises
+    ResourceLimitError once the kept sets would exceed MAX_PREFIX_SETS.
     """
     n = len(adj)
     classes = _degree_classes(degs)
     level: dict[int, tuple[int, int]] = {0: ((1 << n) - 1, 0)}
     levels = [level]
+    room = MAX_PREFIX_SETS - 1
     shortest_stop: Optional[int] = None
     for depth in range(r):
         nxt: dict[int, tuple[int, int]] = {}
@@ -144,8 +147,13 @@ def _prefix_search(
                 ns = state | b
                 if ns not in nxt:
                     nxt[ns] = (cand & adj[b.bit_length() - 1], acc)
+            if len(nxt) > room:
+                raise ResourceLimitError(
+                    f"greedy prefix-set scan exceeded {MAX_PREFIX_SETS} kept sets"
+                )
         if not nxt:
             return shortest_stop, None, None, levels
+        room -= len(nxt)
         level = nxt
         levels.append(level)
     sums = [acc for (_, acc) in level.values()]

@@ -12,6 +12,11 @@ def slot_pairs(n):
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
+def circulant(n, steps):
+    """Edges of the circulant graph: i ~ i + s (mod n) for each step s."""
+    return sorted({tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps})
+
+
 @st.composite
 def graphs(draw, min_n=0, max_n=8):
     n = draw(st.integers(min_n, max_n))

@@ -114,6 +114,33 @@ def _least_bitstring(n, pairs):
     return format(least, f"0{n * (n - 1) // 2}b") if n > 1 else ""
 
 
+def naive_isomorphism_classes(n):
+    """Every labeled graph on n vertices, grouped into isomorphism classes.
+
+    A class is the orbit of its first graph under the vertex permutations,
+    which the swap of vertices 0 and 1 and the cyclic shift generate.  Each
+    graph is a sorted tuple of pairs (u, v), u < v.
+    """
+    slots = list(itertools.combinations(range(n), 2))
+    gens = [[1, 0] + list(range(2, n)), [(i + 1) % n for i in range(n)]] if n > 1 else []
+    seen = set()
+    classes = []
+    for m in range(len(slots) + 1):
+        for edges in itertools.combinations(slots, m):
+            if edges in seen:
+                continue
+            seen.add(edges)
+            orbit = [edges]
+            for graph in orbit:  # the orbit grows while it is walked
+                for perm in gens:
+                    image = tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in graph))
+                    if image not in seen:
+                        seen.add(image)
+                        orbit.append(image)
+            classes.append(orbit)
+    return classes
+
+
 def naive_least_minimizer_g6(n, m, r):
     """graph6 of the least canonical form among the labeled (n, m)-graphs that
     minimize the max r-clique degree sum: the least column-order bitstring

@@ -14,7 +14,7 @@ from cliquedeg import (
     turan_graph,
 )
 
-from conftest import graphs, slot_pairs
+from conftest import circulant, graphs, slot_pairs
 from oracles import naive_degrees, naive_max_clique_degree_sum, naive_r_cliques
 
 
@@ -150,3 +150,43 @@ def test_fast_kernel_agrees_and_aborts_correctly():
                 assert got is None
             else:
                 assert got == value
+
+
+def _kernel_cases():
+    """Dense random graphs, then regular and vertex-transitive graphs on
+    which many r-cliques tie at the maximum."""
+    rng = random.Random(71)
+    for _ in range(10):
+        n = rng.randint(16, 22)
+        density = rng.uniform(0.6, 0.9)
+        yield n, [p for p in slot_pairs(n) if rng.random() < density]
+    yield 13, circulant(13, (1, 2, 3, 5))
+    yield 16, circulant(16, (1, 2, 3, 4, 6, 8))
+    for n, k in ((15, 5), (18, 6), (20, 4)):  # Turán graphs
+        yield n, [(u, v) for u, v in slot_pairs(n) if u % k != v % k]
+    for n in (12, 16):  # complements of perfect matchings
+        yield n, [(u, v) for u, v in slot_pairs(n) if v != u + 1 or u % 2]
+    yield 14, slot_pairs(14)
+
+
+def test_kernel_matches_oracle_on_dense_and_symmetric_graphs():
+    """Branch and bound must keep the value, the first maximizer in lex order
+    as the witness, and the exact abort around the maximum."""
+    from cliquedeg.cliques import _best_clique
+
+    for n, edges in _kernel_cases():
+        g = from_edges(n, edges)
+        degs = g.degrees()
+        deg = naive_degrees(n, edges)
+        for r in range(3, 7):
+            cliques = naive_r_cliques(n, edges, r)
+            value = max((sum(deg[v] for v in c) for c in cliques), default=0)
+            first = next((c for c in cliques if sum(deg[v] for v in c) == value), None)
+            res = max_clique_degree_sum(g, r)
+            assert (res.value, res.witness.members if res.witness else None) == (value, first)
+            for cutoff in (value - 1, value, value + 1):
+                found = _best_clique(g.adj, degs, r, abort_above=cutoff)
+                if cliques and value > cutoff:
+                    assert found is None
+                else:
+                    assert found == (value, res.witness.bits if res.witness else 0)

@@ -30,8 +30,15 @@ from cliquedeg.extremal import (
 )
 from cliquedeg.greedy import _floor_failure, _mean_failure
 
-from conftest import slot_pairs
-from oracles import naive_least_minimizer_g6, naive_local_search, naive_min_over_graphs
+from conftest import circulant, slot_pairs
+from oracles import (
+    _least_bitstring,
+    _pair_weights,
+    naive_isomorphism_classes,
+    naive_least_minimizer_g6,
+    naive_local_search,
+    naive_min_over_graphs,
+)
 
 
 def test_enumerate_counts():
@@ -74,6 +81,63 @@ def test_canonical_distinguishes():
 def test_canonical_classes_n4_m3():
     forms = {canonical_form(g) for g in enumerate_graphs(4, 3)}
     assert len(forms) == 3  # path, star, triangle plus isolated vertex
+
+
+def _symmetric_graphs_n7_n8():
+    """Regular graphs, complements and disjoint unions: graphs with many twins
+    and many automorphisms that are not twin swaps."""
+    def cycle(n):
+        return [(i, (i + 1) % n) for i in range(n)]
+
+    def complete(vertices):
+        return [(u, v) for u in vertices for v in vertices if u < v]
+
+    def complement(n, edges):
+        have = {tuple(sorted(e)) for e in edges}
+        return [p for p in slot_pairs(n) if p not in have]
+
+    cube = [(u, u ^ 1 << k) for u in range(8) for k in range(3) if u < u ^ 1 << k]
+    cases = [
+        (7, cycle(7)),
+        (7, circulant(7, (1, 2))),
+        (7, complete(range(4)) + complete(range(4, 7))),
+        (7, cycle(4) + [(4, 5), (5, 6), (4, 6)]),
+        (8, cycle(8)),
+        (8, circulant(8, (1, 2))),
+        (8, circulant(8, (1, 4))),
+        (8, cube),
+        (8, [(u, v) for u, v in slot_pairs(8) if u % 2 != v % 2]),
+        (8, cycle(4) + [(4 + u, 4 + v) for u, v in cycle(4)]),
+        (8, complete(range(4)) + complete(range(4, 8))),
+        (8, [(0, 1), (1, 2), (0, 2)] + [(3 + u, 3 + v) for u, v in cycle(5)]),
+        (8, [(0, 1), (0, 2), (0, 3)] + [(4, 5), (4, 6), (4, 7)]),
+    ]
+    cases += [(n, complement(n, edges)) for n, edges in cases]
+    rng = random.Random(29)
+    for n, count in ((7, 16), (8, 4)):
+        for _ in range(count):
+            density = rng.choice((0.3, 0.5, 0.7))
+            edges = [p for p in slot_pairs(n) if rng.random() < density]
+            cases += [(n, edges), (n, complement(n, edges))]
+    return cases
+
+
+def test_canonical_search_matches_permutation_oracle():
+    """Twin pruning keeps the least encoding over every vertex order: every
+    labeled graph with n <= 6, then symmetric and random graphs with n = 7, 8."""
+    for n in range(7):
+        for orbit in naive_isomorphism_classes(n):
+            least = _least_bitstring(n, orbit[0])
+            for edges in orbit:
+                assert canonical_form(from_edges(n, edges)) == least
+    try:
+        for n, edges in _symmetric_graphs_n7_n8():
+            pairs = tuple(sorted(tuple(sorted(e)) for e in edges))
+            assert canonical_form(from_edges(n, pairs)) == _least_bitstring(n, pairs)
+    finally:
+        # the n = 8 permutation table is large; do not keep it for later tests
+        _least_bitstring.cache_clear()
+        _pair_weights.cache_clear()
 
 
 def test_canonical_cap():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from cliquedeg import (
     turan_graph,
     turan_size,
 )
+from cliquedeg import greedy
 from cliquedeg.greedy import _floor_failure, _mean_failure, greedy_prefix_extremes
 
 from conftest import graphs, slot_pairs
@@ -285,3 +287,41 @@ def test_greedy_walkers_match_naive_runs():
         for _ in range(300):
             density = rng.random()
             _check_against_naive_runs(from_edges(n, [p for p in pairs if rng.random() < density]))
+
+
+def _k_minus_edge(n):
+    return from_edges(n, [p for p in slot_pairs(n) if p != (0, 1)])
+
+
+def test_prefix_set_scan_is_capped(monkeypatch):
+    """K_n minus one edge at r = n - 1 keeps 2^(n-2) + 2 prefix sets over all
+    levels, the root included; the scan raises once they would exceed the cap."""
+    g = _k_minus_edge(16)
+    monkeypatch.setattr(greedy, "MAX_PREFIX_SETS", 2**14 + 2)
+    assert greedy_prefix_extremes(g.adj, g.degrees(), 15) == (None, 224, 224)  # 14 vertices of degree 15, one of 14
+    monkeypatch.setattr(greedy, "MAX_PREFIX_SETS", 2**14 + 1)
+    with pytest.raises(ResourceLimitError):
+        greedy_prefix_extremes(g.adj, g.degrees(), 15)
+    monkeypatch.undo()
+
+    g = _k_minus_edge(22)  # 2^20 + 2 prefix sets at r = 21
+    scans = (
+        lambda: check_floor_bound(g, 21),
+        lambda: check_mean_bound(g, 21),
+        lambda: greedy_prefix_extremes(g.adj, g.degrees(), 21),
+    )
+    for scan in scans:
+        with pytest.raises(ResourceLimitError):
+            scan()
+    # the scan holds no more than the cap allows: measured under a small cap,
+    # since tracing every allocation of the full cap takes seconds
+    monkeypatch.setattr(greedy, "MAX_PREFIX_SETS", 5_000)
+    for scan in scans:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                scan()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
