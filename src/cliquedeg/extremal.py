@@ -9,13 +9,15 @@ there it counts isomorphism classes.  Local-search mode runs
 steepest-descent edge swaps and reports an upper bound.
 
 An exact witness is the minimizer with the least labeled encoding
-(column-order upper-triangle bits, vertices in index order).  The scan
-visits every relabeling of every minimizer, so this is also the least
-canonical form among them, and no canonical search is needed.  The
-labeled enumeration is shardable into contiguous lexicographic ranges of
-the m-subset space; a shard's key is not itself canonical, but the merge
-(minimum value, ties by least labeled encoding) covers the whole space,
-so any worker count produces identical records.
+(graph6's column-order upper-triangle bits, vertices in index order,
+built by ``graph6._column_chunks``).  The scan visits every relabeling
+of every minimizer, so this is also the least canonical form among them,
+and no canonical search is needed.  The labeled enumeration is shardable
+into contiguous lexicographic ranges of the m-subset space; a shard's key
+is not itself canonical, but the merge (minimum value, ties by least
+labeled encoding) covers the whole space, so any worker count produces
+identical records.  Canonical forms, for local-search tie keys and
+canonical-mode verify, come from ``canonical``.
 """
 
 from __future__ import annotations
@@ -27,14 +29,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
+from .canonical import CANONICAL_MAX_N, _canonical_chunks, _graph_from_chunks
+from .canonical import graph_from_triangle_bits  # re-exported: callers import it from here
 from .cliques import enumerate_r_cliques, max_degree_sum_value
-from .graph6 import to_graph6
+from .graph6 import _column_chunks, to_graph6
 from .graphs import VERTEX_CAP, Graph, ResourceLimitError
 from .greedy import _floor_failure, _mean_failure, greedy_prefix_extremes
 from .turan import turan_size
 
 EXHAUSTIVE_MAX_N = 7
-CANONICAL_MAX_N = 8
 MAX_WORKERS = 8  # worker processes one exact scan may start
 MAX_RESTARTS = 10_000  # random starts one local search may take
 
@@ -105,115 +108,6 @@ def enumerate_graphs(n: int, m: int) -> Iterator[Graph]:
 
 
 # ---------------------------------------------------------------------------
-# canonical form
-
-
-def _labeled_chunks(adj, n: int) -> tuple[int, ...]:
-    """The encoding that ``_canonical_chunks`` minimizes, for the identity vertex order."""
-    chunks = []
-    for j in range(1, n):
-        c = 0
-        for i in range(j):
-            c = c << 1 | (adj[j] >> i & 1)
-        chunks.append(c)
-    return tuple(chunks)
-
-
-def _canonical_chunks(adj, n: int) -> tuple[int, ...]:
-    """Least column-order upper-triangle encoding over all vertex orders.
-
-    The encoding is one integer "chunk" per position j >= 1 holding the
-    adjacency bits of the j-th placed vertex to the previously placed
-    ones.  Branch-and-bound: subtrees whose prefix already exceeds the
-    best known encoding are pruned.  Twin pruning: when two unused
-    vertices have the same neighbours apart from each other, swapping
-    them is an automorphism that fixes the prefix, so their subtrees hold
-    the same encodings and only the first one tried is searched.
-    """
-    best: tuple[int, ...] = ()
-    twins = [
-        sum(1 << t for t in range(n) if (adj[w] ^ adj[t]) & ~(1 << w | 1 << t) == 0) & ~(1 << w)
-        for w in range(n)
-    ]
-
-    def rec(chosen: list[int], chunks: list[int], used: int, tight: bool) -> bool:
-        # tight: the prefix so far equals best's, so only a smaller leaf improves it
-        nonlocal best
-        j = len(chosen)
-        if j == n:
-            if not tight:
-                best = tuple(chunks)
-            return not tight
-        cands = []
-        for w in range(n):
-            if used >> w & 1:
-                continue
-            c = 0
-            aw = adj[w]
-            for i in range(j):
-                c = c << 1 | (aw >> chosen[i] & 1)
-            cands.append((c, w))
-        cands.sort()
-        improved_here = False
-        tried = 0
-        for c, w in cands:
-            if twins[w] & tried:
-                continue
-            tried |= 1 << w
-            child_tight = tight
-            if tight and j >= 1:
-                bc = best[j - 1]
-                if c > bc:
-                    break
-                child_tight = c == bc
-            chosen.append(w)
-            if j >= 1:
-                chunks.append(c)
-            imp = rec(chosen, chunks, used | 1 << w, child_tight)
-            if j >= 1:
-                chunks.pop()
-            chosen.pop()
-            if imp:
-                improved_here = True
-                tight = True
-        return improved_here
-
-    rec([], [], 0, False)
-    return best
-
-
-def _render_chunks(chunks: tuple[int, ...]) -> str:
-    return "".join(format(c, f"0{j}b") for j, c in enumerate(chunks, start=1))
-
-
-def canonical_form(g: Graph) -> str:
-    """Lexicographically least upper-triangle adjacency bitstring over all
-    vertex permutations; equal exactly for isomorphic graphs."""
-    if g.n > CANONICAL_MAX_N:
-        raise ResourceLimitError(f"canonical form capped at n={CANONICAL_MAX_N}, got {g.n}")
-    return _render_chunks(_canonical_chunks(g.adj, g.n))
-
-
-def graph_from_triangle_bits(n: int, bits: str) -> Graph:
-    """Rebuild a graph from a column-order upper-triangle bitstring."""
-    if len(bits) != n * (n - 1) // 2:
-        raise ValueError(f"expected {n * (n - 1) // 2} bits for n={n}, got {len(bits)}")
-    adj = [0] * n
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k] == "1":
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            k += 1
-    return Graph._raw(n, tuple(adj))
-
-
-def _graph_from_chunks(n: int, chunks: tuple[int, ...]) -> Graph:
-    return graph_from_triangle_bits(n, _render_chunks(chunks))
-
-
-# ---------------------------------------------------------------------------
 # exhaustive minimum
 
 
@@ -232,7 +126,7 @@ def _min_scan_range(args) -> tuple[Optional[int], Optional[tuple[int, ...]], int
         val = max_degree_sum_value(adj, list(map(int.bit_count, adj)), r, abort_above=best_val)
         if val is None:
             continue
-        chunks = _labeled_chunks(adj, n)
+        chunks = _column_chunks(adj, n)
         if best_val is None or (val, chunks) < (best_val, best_chunks):
             best_val, best_chunks = val, chunks
     return best_val, best_chunks, count
@@ -820,7 +714,7 @@ def verify_all(
             active = [r for r in rs if thresholds[r] <= m]
             cell_min: dict[int, Optional[int]] = {r: None for r in active}
             for adj in _labeled_adjs(n, m):
-                if mode == "canonical" and _canonical_chunks(adj, n) != _labeled_chunks(adj, n):
+                if mode == "canonical" and _canonical_chunks(adj, n) != _column_chunks(adj, n):
                     continue  # not the representative of its isomorphism class
                 degs = list(map(int.bit_count, adj))
                 regular = min(degs) == max(degs)

@@ -5,6 +5,11 @@ graph6 layout: a size header (byte 63+n for n <= 62, '~' plus three
 matrix in column order, six bits per printable byte (offset 63),
 zero-padded.  Parsing is strict: wrong length, stray bytes and nonzero
 padding are all rejected, with the byte offset of the problem.
+
+This module is the only one that walks the column-order layout: one
+encoder (``_column_chunks``, then ``_render_chunks``) and one decoder
+(``_decode_rows``).  Exact witnesses and canonical forms (``canonical``)
+are bit strings in the same layout, and use the same two.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 from .graphs import VERTEX_CAP, Graph, ResourceLimitError
 
 _HEADER = ">>graph6<<"
+_SIX_BITS = {63 + k: format(k, "06b") for k in range(64)}  # graph6 byte -> its six bits
 
 
 class Graph6ParseError(ValueError):
@@ -22,8 +28,39 @@ class Graph6ParseError(ValueError):
         self.offset = offset
 
 
-def _triangle_bit_count(n: int) -> int:
-    return n * (n - 1) // 2
+def _column_chunks(adj, n: int) -> tuple[int, ...]:
+    """The encoder's first half: one integer per column j >= 1 of the upper
+    triangle, holding the bits of the pairs (0, j), ..., (j - 1, j) with
+    (0, j) as its most significant bit."""
+    chunks = []
+    for j in range(1, n):
+        c = 0
+        for i in range(j):
+            c = c << 1 | (adj[j] >> i & 1)
+        chunks.append(c)
+    return tuple(chunks)
+
+
+def _render_chunks(chunks: tuple[int, ...]) -> str:
+    """The encoder's second half: the column chunks as one bit string."""
+    return "".join(format(c, f"0{j}b") for j, c in enumerate(chunks, start=1))
+
+
+def _decode_rows(n: int, bits: str) -> list[int]:
+    """The decoder: adjacency rows from a bit string of n(n-1)/2 characters
+    '0' and '1' in the encoder's column order."""
+    adj = [0] * n
+    k = 0
+    for j in range(1, n):
+        col = int(bits[k:k + j][::-1], 2)  # bit i: the pair (i, j)
+        k += j
+        adj[j] = col
+        bit_j = 1 << j
+        while col:
+            low = col & -col
+            adj[low.bit_length() - 1] |= bit_j
+            col ^= low
+    return adj
 
 
 def to_graph6(g: Graph) -> str:
@@ -35,18 +72,9 @@ def to_graph6(g: Graph) -> str:
         out = ["~", chr(63 + (n >> 12)), chr(63 + (n >> 6 & 63)), chr(63 + (n & 63))]
     else:
         raise ValueError(f"graph6 encoding for n={n} not supported")
-    group = 0
-    filled = 0
-    for j in range(1, n):
-        for i in range(j):
-            group = group << 1 | (g.adj[i] >> j & 1)
-            filled += 1
-            if filled == 6:
-                out.append(chr(63 + group))
-                group = 0
-                filled = 0
-    if filled:
-        out.append(chr(63 + (group << (6 - filled))))
+    bits = _render_chunks(_column_chunks(g.adj, n))
+    bits += "0" * (-len(bits) % 6)
+    out.extend(chr(63 + int(bits[k:k + 6], 2)) for k in range(0, len(bits), 6))
     return "".join(out)
 
 
@@ -77,7 +105,7 @@ def from_graph6(text: str, cap: int = VERTEX_CAP) -> Graph:
         raise Graph6ParseError("8-byte size header not supported", 0)
     if n > cap:
         raise ResourceLimitError(f"vertex count {n} exceeds cap {cap}")
-    nbits = _triangle_bit_count(n)
+    nbits = n * (n - 1) // 2
     nchars = (nbits + 5) // 6
     if len(s) - body_at < nchars:
         raise Graph6ParseError(
@@ -88,20 +116,8 @@ def from_graph6(text: str, cap: int = VERTEX_CAP) -> Graph:
     pad = 6 * nchars - nbits
     if (ord(s[-1]) - 63) & ((1 << pad) - 1):
         raise Graph6ParseError("nonzero padding bits", len(s) - 1)
-    adj = [0] * n
-    i, j = 0, 1  # the slot of the next bit, in column order
-    for k in range(body_at, len(s)):
-        group = ord(s[k]) - 63
-        for b in range(5, -1, -1):
-            if j == n:
-                break
-            if group >> b & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            i += 1
-            if i == j:
-                i, j = 0, j + 1
-    return Graph._raw(n, tuple(adj))
+    bits = s[body_at:].translate(_SIX_BITS)[:nbits]
+    return Graph._raw(n, tuple(_decode_rows(n, bits)))
 
 
 def to_edge_list_text(g: Graph) -> str:

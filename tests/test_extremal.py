@@ -156,6 +156,16 @@ def test_triangle_bits_round_trip():
         assert canonical_form(h) == canon and h.m == g.m
 
 
+def test_triangle_bits_reject_other_characters():
+    # int(s, 2) alone would take "1_0" and surrounding whitespace
+    for bits in ("2x1", "1_0", " 10", "10 ", "+10", "1\n0"):
+        with pytest.raises(ValueError):
+            graph_from_triangle_bits(3, bits)
+    with pytest.raises(ValueError):
+        graph_from_triangle_bits(3, "10")
+    assert graph_from_triangle_bits(3, "101").m == 2
+
+
 def test_min_exact_derived_values():
     rec = extremal_degree_sum_min(4, 4, 2)
     assert rec.delta_min == 4 == naive_min_over_graphs(4, 4, 2)

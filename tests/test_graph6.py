@@ -39,14 +39,27 @@ def test_round_trip_hand_layout():
         assert from_graph6(code) == g
 
 
+def _assert_matches_networkx(n, edges):
+    """Encoder and decoder both agree with networkx's graph6 bytes."""
+    g = from_edges(n, edges)
+    expected = nx.to_graph6_bytes(_nx_graph(n, edges), header=False).decode().strip()
+    assert to_graph6(g) == expected
+    assert from_graph6(expected) == g
+
+
 def test_matches_networkx():
     rng = random.Random(11)
     for _ in range(300):
         n = rng.randint(0, 30)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
-        g = from_edges(n, edges)
-        expected = nx.to_graph6_bytes(_nx_graph(n, edges), header=False).decode().strip()
-        assert to_graph6(g) == expected
+        _assert_matches_networkx(n, edges)
+    # one-hot graphs and their complements: a bit read from the wrong slot,
+    # such as across a column boundary, moves the single edge or hole
+    for n in range(2, 13):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for edge in pairs:
+            _assert_matches_networkx(n, [edge])
+            _assert_matches_networkx(n, [p for p in pairs if p != edge])
 
 
 def _nx_graph(n, edges):
@@ -64,8 +77,7 @@ def test_long_size_header():
         code = to_graph6(g)
         assert code.startswith("~")
         assert from_graph6(code) == g
-        expected = nx.to_graph6_bytes(_nx_graph(n, edges), header=False).decode().strip()
-        assert code == expected
+        _assert_matches_networkx(n, edges)
 
 
 @settings(max_examples=300, deadline=None)
