@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 usage/parse/resource errors, 2 when a checked
 bound is violated (the report then carries a graph6 witness).  Output
 is deterministic for a fixed config including the seed, and every
-report carries the tool version plus the fully resolved config.
+report carries the tool version plus the fully resolved config.  Each
+``_cmd_*`` handler computes its result once and hands its JSON, CSV and
+text renderings to ``_report``, the one report writer: it alone reads
+``--format``, builds the header and writes to stdout or ``--out``.
 """
 
 from __future__ import annotations
@@ -111,54 +114,37 @@ def _resolved_config(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items())}
 
 
-def _emit(text: str, out: str | None):
-    if out is None:
-        sys.stdout.write(text)
+def _report(args: argparse.Namespace, result, csv_body, text_lines) -> None:
+    """The one report writer: build only the rendering ``--format`` asks for
+    (each argument is a zero-argument callable giving the JSON result, the
+    CSV body or the text lines), head it with the version and resolved config,
+    and write it to stdout or ``--out``."""
+    config = _resolved_config(args)
+    compact = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    if args.format == "json":
+        envelope = {
+            "tool": "cliquedeg", "version": __version__, "config": config, "result": result(),
+        }
+        report = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+    elif args.format == "csv":
+        report = f"# cliquedeg {__version__} config={compact}\n" + csv_body()
     else:
-        Path(out).write_text(text, encoding="utf-8")
-
-
-def _emit_json(result, args: argparse.Namespace):
-    envelope = {
-        "tool": "cliquedeg",
-        "version": __version__,
-        "config": _resolved_config(args),
-        "result": result,
-    }
-    _emit(json.dumps(envelope, indent=2, sort_keys=True) + "\n", args.out)
-
-
-def _audit_line(args: argparse.Namespace) -> str:
-    return (
-        f"# cliquedeg {__version__} config="
-        + json.dumps(_resolved_config(args), sort_keys=True, separators=(",", ":"))
-        + "\n"
-    )
-
-
-def _emit_csv(body: str, args: argparse.Namespace):
-    _emit(_audit_line(args) + body, args.out)
-
-
-def _emit_text(lines: list[str], args: argparse.Namespace):
-    head = f"cliquedeg {__version__} | " + json.dumps(
-        _resolved_config(args), sort_keys=True, separators=(",", ":")
-    )
-    _emit("\n".join([head] + lines) + "\n", args.out)
+        report = "\n".join([f"cliquedeg {__version__} | {compact}"] + text_lines()) + "\n"
+    if args.out is None:
+        sys.stdout.write(report)
+    else:
+        Path(args.out).write_text(report, encoding="utf-8")
 
 
 def _cmd_turan(args) -> int:
     dec = turan_decomposition(args.r, args.n)
-    if args.format == "json":
-        _emit_json(
-            {"r": dec.r, "n": dec.n, "t": dec.t, "parts": list(dec.parts), "s": dec.s}, args
-        )
-    elif args.format == "csv":
-        body = "r,n,t,s,parts\n" + f"{dec.r},{dec.n},{dec.t},{dec.s},{' '.join(map(str, dec.parts))}\n"
-        _emit_csv(body, args)
-    else:
-        parts = "[" + ",".join(map(str, dec.parts)) + "]"
-        _emit_text([f"t={dec.t} parts={parts}"], args)
+    _report(
+        args,
+        lambda: {"r": dec.r, "n": dec.n, "t": dec.t, "parts": list(dec.parts), "s": dec.s},
+        lambda: f"r,n,t,s,parts\n{dec.r},{dec.n},{dec.t},{dec.s},"
+        f"{' '.join(map(str, dec.parts))}\n",
+        lambda: [f"t={dec.t} parts=[{','.join(map(str, dec.parts))}]"],
+    )
     return EXIT_OK
 
 
@@ -170,41 +156,27 @@ def _cmd_greedy(args) -> int:
     g = _load_input(args.input)
     if args.all_branches:
         seqs = all_greedy_sequences(g, branch_cap=args.branch_cap)
-        result = {
-            "n": g.n,
-            "m": g.m,
-            "count": len(seqs),
-            "sequences": [
-                {"vertices": list(s.vertices), "degree_sums": list(s.degree_sums)}
-                for s in seqs
-            ],
-        }
-        lines = [f"sequences={len(seqs)}"] + [
+    else:
+        seqs = [greedy_sequence(g)]
+
+    def result():
+        runs = [{"vertices": list(s.vertices), "degree_sums": list(s.degree_sums)} for s in seqs]
+        if args.all_branches:
+            return {"n": g.n, "m": g.m, "count": len(seqs), "sequences": runs}
+        return {"n": g.n, "m": g.m, **runs[0], "tie_policy": seqs[0].tie_policy}
+
+    _report(
+        args,
+        result,
+        lambda: "length,vertices,degree_sums\n" + "".join(
+            f"{len(s.vertices)},{' '.join(map(str, s.vertices))},"
+            f"{' '.join(map(str, s.degree_sums))}\n"
+            for s in seqs
+        ),
+        lambda: ([f"sequences={len(seqs)}"] if args.all_branches else []) + [
             f"vertices={list(s.vertices)} degree_sums={list(s.degree_sums)}" for s in seqs
-        ]
-    else:
-        s = greedy_sequence(g)
-        result = {
-            "n": g.n,
-            "m": g.m,
-            "vertices": list(s.vertices),
-            "degree_sums": list(s.degree_sums),
-            "tie_policy": s.tie_policy,
-        }
-        lines = [f"vertices={list(s.vertices)} degree_sums={list(s.degree_sums)}"]
-    if args.format == "json":
-        _emit_json(result, args)
-    elif args.format == "csv":
-        body = "length,vertices,degree_sums\n"
-        seqs = result.get("sequences", [result])
-        for s in seqs:
-            body += (
-                f"{len(s['vertices'])},{' '.join(map(str, s['vertices']))},"
-                f"{' '.join(map(str, s['degree_sums']))}\n"
-            )
-        _emit_csv(body, args)
-    else:
-        _emit_text(lines, args)
+        ],
+    )
     return EXIT_OK
 
 
@@ -212,14 +184,13 @@ def _cmd_delta(args) -> int:
     g = _load_input(args.input)
     res = max_clique_degree_sum(g, args.r)
     witness = sorted(res.witness.members) if res.witness is not None else None
-    result = {"n": g.n, "m": g.m, "r": res.r, "value": res.value, "witness": witness}
-    if args.format == "json":
-        _emit_json(result, args)
-    elif args.format == "csv":
-        wit = " ".join(map(str, witness)) if witness is not None else ""
-        _emit_csv(f"n,m,r,value,witness\n{g.n},{g.m},{res.r},{res.value},{wit}\n", args)
-    else:
-        _emit_text([f"value={res.value} witness={witness}"], args)
+    _report(
+        args,
+        lambda: {"n": g.n, "m": g.m, "r": res.r, "value": res.value, "witness": witness},
+        lambda: f"n,m,r,value,witness\n{g.n},{g.m},{res.r},{res.value},"
+        f"{' '.join(map(str, witness or ()))}\n",
+        lambda: [f"value={res.value} witness={witness}"],
+    )
     return EXIT_OK
 
 
@@ -227,41 +198,29 @@ def _records_exit(records) -> int:
     return EXIT_VIOLATION if any(band_violation(rec) for rec in records) else EXIT_OK
 
 
-def _emit_records(records, args) -> int:
-    if args.format == "json":
-        _emit_json([record_to_dict(rec) for rec in records], args)
-    elif args.format == "csv":
-        _emit_csv(records_to_csv(records), args)
-    else:
-        lines = []
-        for rec in records:
-            lines.append(
-                f"n={rec.n} m={rec.m} r={rec.r} mode={rec.mode} delta_min={rec.delta_min} "
-                f"bound={rec.ratio_num}/{rec.ratio_den} witness={rec.witness_g6} "
-                f"graphs={rec.graphs_examined} regime={rec.regime}"
-            )
-        for rec in records:
-            problem = band_violation(rec)
-            if problem:
-                lines.append(f"VIOLATION n={rec.n} m={rec.m} r={rec.r}: {problem}")
-        _emit_text(lines, args)
-    return _records_exit(records)
-
-
-def _scan(args, m_from: int, m_to: int):
-    return scan_m(
+def _cmd_scan(args, m_from: int, m_to: int) -> int:
+    """One record per edge count in m_from..m_to; ``extremal`` asks for a single one."""
+    records = scan_m(
         args.n, args.r, m_from, m_to, mode=args.mode, seed=args.seed,
         restarts=args.restarts, iter_budget=args.iter_budget, workers=args.workers,
         max_graphs=args.max_graphs,
     )
-
-
-def _cmd_extremal(args) -> int:
-    return _emit_records(_scan(args, args.m, args.m), args)
-
-
-def _cmd_scan(args) -> int:
-    return _emit_records(_scan(args, args.m_from, args.m_to), args)
+    _report(
+        args,
+        lambda: [record_to_dict(rec) for rec in records],
+        lambda: records_to_csv(records),
+        lambda: [
+            f"n={rec.n} m={rec.m} r={rec.r} mode={rec.mode} delta_min={rec.delta_min} "
+            f"bound={rec.ratio_num}/{rec.ratio_den} witness={rec.witness_g6} "
+            f"graphs={rec.graphs_examined} regime={rec.regime}"
+            for rec in records
+        ] + [
+            f"VIOLATION n={rec.n} m={rec.m} r={rec.r}: {problem}"
+            for rec in records
+            if (problem := band_violation(rec))
+        ],
+    )
+    return _records_exit(records)
 
 
 def _cmd_stability(args) -> int:
@@ -274,44 +233,35 @@ def _cmd_stability(args) -> int:
         params, mode=args.mode, seed=args.seed, restarts=args.restarts,
         iter_budget=args.iter_budget, workers=args.workers, max_graphs=args.max_graphs,
     )
-    if args.format == "json":
-        _emit_json(stability_report_to_dict(rep), args)
-    elif args.format == "csv":
-        _emit_csv(stability_report_to_csv(rep), args)
-    else:
-        lines = [
+    _report(
+        args,
+        lambda: stability_report_to_dict(rep),
+        lambda: stability_report_to_csv(rep),
+        lambda: [
             f"r={rep.r} n={rep.n} epsilon={rep.epsilon_num}/{rep.epsilon_den} "
             f"delta={rep.delta_num}/{rep.delta_den} window=({rep.m_threshold},{rep.m_upper}]"
-        ]
-        for row in rep.rows:
-            lines.append(
-                f"m={row.m} delta_min={row.delta_min} ratio={row.ratio_num}/{row.ratio_den} "
-                f"({row.ratio_decimal}) exceeds={row.exceeds_threshold}"
-            )
-        _emit_text(lines, args)
+        ] + [
+            f"m={row.m} delta_min={row.delta_min} ratio={row.ratio_num}/{row.ratio_den} "
+            f"({row.ratio_decimal}) exceeds={row.exceeds_threshold}"
+            for row in rep.rows
+        ],
+    )
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     r_set = [int(tok) for tok in args.r.split(",") if tok.strip()]
     rep = verify_all(args.n_max, r_set, mode=args.mode, max_graphs=args.max_graphs)
-    if args.format == "json":
-        _emit_json(verify_report_to_dict(rep), args)
-    elif args.format == "csv":
-        body = "n_max,r_set,mode,graphs_examined,cells,violations\n"
-        body += (
-            f"{rep.n_max},{' '.join(map(str, rep.r_set))},{rep.mode},"
-            f"{rep.graphs_examined},{rep.cells},{rep.violations}\n"
-        )
-        _emit_csv(body, args)
-    else:
-        lines = [
-            f"graphs_examined={rep.graphs_examined} cells={rep.cells} "
-            f"violations={rep.violations}"
-        ]
-        for ce in rep.counterexamples:
-            lines.append(f"VIOLATION {ce}")
-        _emit_text(lines, args)
+    _report(
+        args,
+        lambda: verify_report_to_dict(rep),
+        lambda: "n_max,r_set,mode,graphs_examined,cells,violations\n"
+        f"{rep.n_max},{' '.join(map(str, rep.r_set))},{rep.mode},"
+        f"{rep.graphs_examined},{rep.cells},{rep.violations}\n",
+        lambda: [
+            f"graphs_examined={rep.graphs_examined} cells={rep.cells} violations={rep.violations}"
+        ] + [f"VIOLATION {ce}" for ce in rep.counterexamples],
+    )
     return EXIT_VIOLATION if rep.violations else EXIT_OK
 
 
@@ -319,8 +269,8 @@ _HANDLERS = {
     "turan": _cmd_turan,
     "greedy": _cmd_greedy,
     "delta": _cmd_delta,
-    "extremal": _cmd_extremal,
-    "scan": _cmd_scan,
+    "extremal": lambda args: _cmd_scan(args, args.m, args.m),
+    "scan": lambda args: _cmd_scan(args, args.m_from, args.m_to),
     "stability": _cmd_stability,
     "verify": _cmd_verify,
 }

@@ -248,6 +248,8 @@ def near_regular_graph(n: int, m: int) -> Graph:
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
+    if n > VERTEX_CAP:
+        raise ResourceLimitError(f"vertex count {n} exceeds cap {VERTEX_CAP}")
     nslots = n * (n - 1) // 2
     if m < 0 or m > nslots:
         raise ValueError(f"edge count {m} infeasible for n={n} (0..{nslots})")

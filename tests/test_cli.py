@@ -1,7 +1,10 @@
 import json
+import re
 
-from cliquedeg import from_edges, to_edge_list_text, to_graph6
-from cliquedeg.cli import main
+import pytest
+
+from cliquedeg import __version__, from_edges, to_edge_list_text, to_graph6
+from cliquedeg.cli import _build_parser, main
 from cliquedeg.extremal import MAX_RESTARTS, MAX_WORKERS
 from cliquedeg.turan import MAX_PARTS
 
@@ -201,3 +204,44 @@ def test_workers_flag_does_not_change_output(tmp_path):
     body1 = out1.read_text().splitlines()[1:]  # audit line echoes the worker count
     body2 = out2.read_text().splitlines()[1:]
     assert body1 == body2
+
+
+SMALL_COMMANDS = {
+    "turan": ["turan", "--r", "3", "--n", "7"],
+    "greedy": ["greedy", "--input", "{star}"],
+    "greedy-all-branches": ["greedy", "--input", "{star}", "--all-branches"],
+    "delta": ["delta", "--input", "{star}", "--r", "2"],
+    "extremal": ["extremal", "--n", "4", "--m", "4", "--r", "2"],
+    "scan": ["scan", "--n", "5", "--r", "2", "--m-from", "6", "--m-to", "8"],
+    "stability": ["stability", "--n", "5", "--r", "2", "--epsilon", "1/4"],
+    "verify": ["verify", "--n-max", "4", "--r", "2,3"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("command", SMALL_COMMANDS.values(), ids=SMALL_COMMANDS)
+def test_report_header_and_out_file(command, fmt, tmp_path, capsys):
+    star = tmp_path / "star.txt"
+    star.write_text(to_edge_list_text(from_edges(4, [(0, 1), (0, 2), (0, 3)])))
+    argv = [arg.format(star=star) for arg in command] + ["--format", fmt]
+    config = vars(_build_parser().parse_args(argv))
+    compact = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    if fmt == "json":
+        payload = json.loads(out)
+        assert set(payload) == {"tool", "version", "config", "result"}
+        assert payload["tool"] == "cliquedeg" and payload["version"] == __version__
+        assert payload["config"] == config and list(payload["config"]) == sorted(config)
+    elif fmt == "csv":
+        assert out.splitlines()[0] == f"# cliquedeg {__version__} config={compact}"
+    else:
+        assert out.splitlines()[0] == f"cliquedeg {__version__} | {compact}"
+    path = tmp_path / "report"
+    assert run_cli(capsys, *argv, "--out", str(path)) == (0, "", "")
+    # the header echoes the resolved config, so only its "out" value differs
+    expected = re.sub(
+        r'"out":( ?)null', lambda m: '"out":' + m.group(1) + json.dumps(str(path)), out, count=1
+    )
+    assert expected != out
+    assert path.read_bytes() == expected.encode("utf-8")

@@ -448,6 +448,8 @@ def test_near_regular_all_feasible_cases():
         near_regular_graph(4, 7)
     with pytest.raises(ValueError):
         near_regular_graph(3, -1)
+    with pytest.raises(ResourceLimitError, match="vertex count 65 exceeds cap 64"):
+        near_regular_graph(65, 3)
 
 
 def test_stability_params():
