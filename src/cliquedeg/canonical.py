@@ -9,7 +9,7 @@ encodings compare as tuples.
 from __future__ import annotations
 
 from .graph6 import _decode_rows, _render_chunks
-from .graphs import Graph, ResourceLimitError
+from .graphs import VERTEX_CAP, Graph, ResourceLimitError, _check_vertex_count
 
 CANONICAL_MAX_N = 8
 
@@ -78,6 +78,7 @@ def canonical_form(g: Graph) -> str:
 
 def graph_from_triangle_bits(n: int, bits: str) -> Graph:
     """Rebuild a graph from a column-order upper-triangle bitstring."""
+    _check_vertex_count(n, VERTEX_CAP)
     if len(bits) != n * (n - 1) // 2:
         raise ValueError(f"expected {n * (n - 1) // 2} bits for n={n}, got {len(bits)}")
     if not set(bits) <= {"0", "1"}:

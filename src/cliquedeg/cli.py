@@ -12,6 +12,7 @@ text renderings to ``_report``, the one report writer: it alone reads
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -19,6 +20,8 @@ from pathlib import Path
 
 from . import __version__
 from .extremal import (
+    EXACT_MODES,
+    MODES,
     StabilityParams,
     band_violation,
     record_to_dict,
@@ -28,7 +31,6 @@ from .extremal import (
     stability_report_to_csv,
     stability_report_to_dict,
     verify_all,
-    verify_report_to_dict,
 )
 from .graph6 import Graph6ParseError, load_graph_text
 from .graphs import ResourceLimitError
@@ -55,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     def add_search_flags(p):
-        p.add_argument("--mode", choices=["exhaustive", "canonical", "local-search"], default="exhaustive")
+        p.add_argument("--mode", choices=list(MODES), default="exhaustive")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--restarts", type=int, default=4)
         p.add_argument("--iter-budget", type=int, default=200)
@@ -103,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustive greedy and band checks over all small graphs")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--r", required=True, help="comma-separated clique sizes, e.g. 2,3")
-    p.add_argument("--mode", choices=["exhaustive", "canonical"], default="exhaustive")
+    p.add_argument("--mode", choices=EXACT_MODES, default="exhaustive")
     p.add_argument("--max-graphs", type=int, default=None)
     add_output_flags(p)
 
@@ -254,7 +256,7 @@ def _cmd_verify(args) -> int:
     rep = verify_all(args.n_max, r_set, mode=args.mode, max_graphs=args.max_graphs)
     _report(
         args,
-        lambda: verify_report_to_dict(rep),
+        lambda: dataclasses.asdict(rep),
         lambda: "n_max,r_set,mode,graphs_examined,cells,violations\n"
         f"{rep.n_max},{' '.join(map(str, rep.r_set))},{rep.mode},"
         f"{rep.graphs_examined},{rep.cells},{rep.violations}\n",

@@ -27,19 +27,33 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterator, Optional
 
 from .canonical import CANONICAL_MAX_N, _canonical_chunks, _graph_from_chunks
 from .canonical import graph_from_triangle_bits  # re-exported: callers import it from here
 from .cliques import enumerate_r_cliques, max_degree_sum_value
 from .graph6 import _column_chunks, to_graph6
-from .graphs import VERTEX_CAP, Graph, ResourceLimitError
+from .graphs import VERTEX_CAP, Graph, ResourceLimitError, _check_vertex_count
 from .greedy import _floor_failure, _mean_failure, greedy_prefix_extremes
 from .turan import turan_size
 
 EXHAUSTIVE_MAX_N = 7
 MAX_WORKERS = 8  # worker processes one exact scan may start
 MAX_RESTARTS = 10_000  # random starts one local search may take
+
+LOCAL_SEARCH = "local-search"
+# mode -> vertex cap, error above it (None: the builders' error); all but local search are exact
+MODES = {
+    "exhaustive": (
+        EXHAUSTIVE_MAX_N,
+        f"exhaustive mode capped at n={EXHAUSTIVE_MAX_N}; "
+        f"use canonical (n={CANONICAL_MAX_N}) or local-search modes",
+    ),
+    "canonical": (CANONICAL_MAX_N, f"canonical mode capped at n={CANONICAL_MAX_N}; use local-search"),
+    LOCAL_SEARCH: (VERTEX_CAP, None),
+}
+EXACT_MODES = tuple(mode for mode in MODES if mode != LOCAL_SEARCH)
 
 REGIME_BELOW = "below-threshold"
 REGIME_AT = "at-threshold"
@@ -93,13 +107,10 @@ def enumerate_graphs(n: int, m: int) -> Iterator[Graph]:
     Iterates m-subsets of the edge slots (pairs (u, v) with u < v in
     lexicographic order) in lexicographic order.
     """
-    if n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {n}")
-    if n > CANONICAL_MAX_N:
-        raise ResourceLimitError(
-            f"exhaustive enumeration capped at n={CANONICAL_MAX_N}; "
-            "use local-search mode for larger graphs"
-        )
+    _check_vertex_count(
+        n, CANONICAL_MAX_N,
+        f"exhaustive enumeration capped at n={CANONICAL_MAX_N}; use local-search mode for larger graphs",
+    )
     nslots = n * (n - 1) // 2
     if m < 0 or m > nslots:
         raise ValueError(f"edge count {m} outside 0..{nslots}")
@@ -162,39 +173,38 @@ def _make_record(n, m, r, mode, value, witness: Graph, examined) -> ScanRecord:
     )
 
 
-def _check_exact_cells(
-    n: int, r: int, ms, mode: str, max_graphs: Optional[int], workers: int = 1
+def _check_cells(
+    n: int, r: int, ms, mode: str, modes=MODES, *, workers: int = 1,
+    max_graphs: Optional[int] = None, restarts: int = 0, iter_budget: int = 0,
 ) -> None:
-    """Every argument check of an exact scan over the cells (n, m, r) for m in
-    ``ms``: the shared arguments first, then each m in order, so that a bad
-    cell raises before any cell is scanned, and an empty range still checks."""
+    """Every argument check of a search in ``mode`` (one of ``modes``) over the cells
+    (n, m, r) for m in ``ms``: the shared arguments, then the mode's own (``workers``
+    for exact modes, ``restarts`` and ``iter_budget`` for local search), then each m
+    in order, so a bad cell raises before any cell is searched and an empty range
+    still checks."""
     if n < 1:
         raise ValueError(f"vertex count must be at least 1, got {n}")
     if r < 1:
         raise ValueError(f"clique size must be at least 1, got {r}")
-    if mode == "exhaustive":
-        if n > EXHAUSTIVE_MAX_N:
-            raise ResourceLimitError(
-                f"exhaustive mode capped at n={EXHAUSTIVE_MAX_N}; "
-                "use canonical (n=8) or local-search modes"
-            )
-    elif mode == "canonical":
-        if n > CANONICAL_MAX_N:
-            raise ResourceLimitError(
-                f"canonical mode capped at n={CANONICAL_MAX_N}; use local-search"
-            )
-    else:
+    if mode not in modes:
         raise ValueError(f"unknown exact mode {mode!r}")
-    if workers < 1:
-        raise ValueError(f"worker count must be at least 1, got {workers}")
-    if workers > MAX_WORKERS:
-        raise ResourceLimitError(f"worker count {workers} exceeds cap {MAX_WORKERS}")
+    _check_vertex_count(n, *MODES[mode])
+    exact = mode != LOCAL_SEARCH
+    if exact:
+        if workers < 1:
+            raise ValueError(f"worker count must be at least 1, got {workers}")
+        if workers > MAX_WORKERS:
+            raise ResourceLimitError(f"worker count {workers} exceeds cap {MAX_WORKERS}")
+    else:
+        if restarts < 0 or iter_budget < 0:
+            raise ValueError("restarts and iter-budget must be nonnegative")
+        if restarts > MAX_RESTARTS:
+            raise ResourceLimitError(f"restart count {restarts} exceeds cap {MAX_RESTARTS}")
     nslots = n * (n - 1) // 2
     for m in ms:
         if m < 0 or m > nslots:
             raise ValueError(f"edge count {m} outside 0..{nslots}")
-        total = math.comb(nslots, m)
-        if max_graphs is not None and total > max_graphs:
+        if exact and max_graphs is not None and (total := math.comb(nslots, m)) > max_graphs:
             raise ResourceLimitError(f"{total} graphs exceed max-graphs limit {max_graphs}")
 
 
@@ -212,7 +222,7 @@ def extremal_degree_sum_min(
     is the least canonical form among the minimizers because the scan
     covers every relabeling of each.
     """
-    _check_exact_cells(n, r, (m,), mode, max_graphs, workers)
+    _check_cells(n, r, (m,), mode, EXACT_MODES, workers=workers, max_graphs=max_graphs)
     total = math.comb(n * (n - 1) // 2, m)
     if workers == 1 or total < 2 * workers:
         parts = [_min_scan_range((n, m, r, 0, total))]
@@ -246,10 +256,7 @@ def near_regular_graph(n: int, m: int) -> Graph:
     spread evenly so no vertex is bumped twice unless all are bumped
     at least once.
     """
-    if n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {n}")
-    if n > VERTEX_CAP:
-        raise ResourceLimitError(f"vertex count {n} exceeds cap {VERTEX_CAP}")
+    _check_vertex_count(n, VERTEX_CAP)
     nslots = n * (n - 1) // 2
     if m < 0 or m > nslots:
         raise ValueError(f"edge count {m} infeasible for n={n} (0..{nslots})")
@@ -267,20 +274,12 @@ def near_regular_graph(n: int, m: int) -> Graph:
         for i in range(size):
             add(i, (i + d) % n)
         remaining -= size
-    if n >= 3:
-        cycle = [(i, (i + 1) % n) for i in range(n)]
-    elif n == 2:
-        cycle = [(0, 1)]
-    else:
-        cycle = []
+    cycle = [(i, (i + 1) % n) for i in range(n if n >= 3 else n - 1)]
     k = remaining
-    if k == len(cycle):
-        chosen = set(range(len(cycle)))
-    elif k <= len(cycle) // 2:
-        chosen = _spread_positions(k, len(cycle)) if k else set()
+    if k <= len(cycle) // 2:
+        chosen = _spread_positions(k, len(cycle))
     else:
-        skipped = _spread_positions(len(cycle) - k, len(cycle))
-        chosen = set(range(len(cycle))) - skipped
+        chosen = set(range(len(cycle))) - _spread_positions(len(cycle) - k, len(cycle))
     for i in chosen:
         add(*cycle[i])
     return Graph._raw(n, tuple(adj))
@@ -393,25 +392,6 @@ def _best_swap(cur: list[int], n: int, r: int):
     return nb_val, nb_key, nb_adj
 
 
-def _check_local_search_cells(n: int, r: int, ms, restarts: int, iter_budget: int) -> None:
-    """Every argument check of a local search over the cells (n, m, r) for m
-    in ``ms``: the shared arguments first, then each m in order."""
-    if n < 1:
-        raise ValueError(f"vertex count must be at least 1, got {n}")
-    if n > VERTEX_CAP:
-        raise ResourceLimitError(f"vertex count {n} exceeds cap {VERTEX_CAP}")
-    if r < 1:
-        raise ValueError(f"clique size must be at least 1, got {r}")
-    if restarts < 0 or iter_budget < 0:
-        raise ValueError("restarts and iter-budget must be nonnegative")
-    if restarts > MAX_RESTARTS:
-        raise ResourceLimitError(f"restart count {restarts} exceeds cap {MAX_RESTARTS}")
-    nslots = n * (n - 1) // 2
-    for m in ms:
-        if m < 0 or m > nslots:
-            raise ValueError(f"edge count {m} outside 0..{nslots}")
-
-
 def extremal_degree_sum_local_search(
     n: int,
     m: int,
@@ -433,7 +413,7 @@ def extremal_degree_sum_local_search(
     candidate swap considered, m(N - m) per step.  Deterministic given
     the seed.
     """
-    _check_local_search_cells(n, r, (m,), restarts, iter_budget)
+    _check_cells(n, r, (m,), LOCAL_SEARCH, restarts=restarts, iter_budget=iter_budget)
     slots = _slots(n)
     evals = 0
     best_val: Optional[int] = None
@@ -471,7 +451,7 @@ def extremal_degree_sum_local_search(
         witness = _graph_from_chunks(n, best_key)
     else:
         witness = Graph._raw(n, tuple(best_key))
-    return _make_record(n, m, r, "local-search", best_val, witness, evals)
+    return _make_record(n, m, r, LOCAL_SEARCH, best_val, witness, evals)
 
 
 # ---------------------------------------------------------------------------
@@ -494,25 +474,21 @@ def scan_m(
 
     Every argument of every cell is checked before the first search."""
     ms = range(m_from, m_to + 1)
-    if mode == "local-search":
-        _check_local_search_cells(n, r, ms, restarts, iter_budget)
-    else:
-        _check_exact_cells(n, r, ms, mode, max_graphs, workers)
-    records = []
-    for m in ms:
-        if mode == "local-search":
-            records.append(
-                extremal_degree_sum_local_search(
-                    n, m, r, seed=seed, restarts=restarts, iter_budget=iter_budget
-                )
+    _check_cells(
+        n, r, ms, mode, workers=workers, max_graphs=max_graphs,
+        restarts=restarts, iter_budget=iter_budget,
+    )
+    if mode == LOCAL_SEARCH:
+        return [
+            extremal_degree_sum_local_search(
+                n, m, r, seed=seed, restarts=restarts, iter_budget=iter_budget
             )
-        else:
-            records.append(
-                extremal_degree_sum_min(
-                    n, m, r, mode=mode, workers=workers, max_graphs=max_graphs
-                )
-            )
-    return records
+            for m in ms
+        ]
+    return [
+        extremal_degree_sum_min(n, m, r, mode=mode, workers=workers, max_graphs=max_graphs)
+        for m in ms
+    ]
 
 
 def _band_failure(n: int, m: int, r: int, value: int) -> Optional[str]:
@@ -530,7 +506,7 @@ def _band_failure(n: int, m: int, r: int, value: int) -> Optional[str]:
 def band_violation(rec: ScanRecord) -> Optional[str]:
     """The two-sided bound 2rm <= value*n < 2rm + rn, checked when m is at or
     above the threshold; only exact modes can witness a violation."""
-    if rec.mode not in ("exhaustive", "canonical"):
+    if rec.mode not in EXACT_MODES:
         return None
     if rec.regime == REGIME_BELOW:
         return None
@@ -542,7 +518,7 @@ class StabilityParams:
     """Window just below the r-partite threshold: width ceil(delta*n^2) where
     delta = epsilon^2/32.
 
-    Any epsilon in (0, 1) is accepted; epsilons at or above 2/(r(r+1))
+    Any rational epsilon in (0, 1) is accepted; epsilons at or above 2/(r(r+1))
     fall outside the range the underlying argument assumes (shrinking
     epsilon only strengthens the statement), which the report flags via
     ``within_proof_range``.
@@ -559,6 +535,8 @@ class StabilityParams:
             raise ValueError(f"need n >= r, got n={self.n}, r={self.r}")
         if not (0 < self.epsilon < 1):
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
+        if not isinstance(self.epsilon, Rational):
+            raise ValueError(f"epsilon must be an exact rational, got {self.epsilon!r}")
 
     @property
     def delta(self) -> Fraction:
@@ -680,8 +658,8 @@ def verify_all(
     """
     if n_max > EXHAUSTIVE_MAX_N:
         raise ResourceLimitError(f"verify capped at n_max={EXHAUSTIVE_MAX_N}, got {n_max}")
-    if mode not in ("exhaustive", "canonical"):
-        raise ValueError(f"verify mode must be exhaustive or canonical, got {mode!r}")
+    if mode not in EXACT_MODES:
+        raise ValueError(f"verify mode must be {' or '.join(EXACT_MODES)}, got {mode!r}")
     rs_all = sorted(set(r_set))
     for r in rs_all:
         if r < 2:
@@ -693,7 +671,7 @@ def verify_all(
         if rs:
             thresholds = {r: turan_size(r, n) for r in rs}
             ms = range(min(thresholds.values()), n * (n - 1) // 2 + 1)
-            _check_exact_cells(n, rs[0], ms, mode, max_graphs)
+            _check_cells(n, rs[0], ms, mode, EXACT_MODES, max_graphs=max_graphs)
             plan.append((n, rs, thresholds, ms))
     counterexamples: list[dict] = []
     graphs_examined = 0
@@ -808,16 +786,3 @@ def stability_report_to_csv(rep: StabilityReport) -> str:
             f"{row.ratio_num},{row.ratio_den},{row.ratio_decimal},{row.exceeds_threshold}"
         )
     return "\n".join(lines) + "\n"
-
-
-def verify_report_to_dict(rep: VerifyReport) -> dict:
-    return {
-        "n_max": rep.n_max,
-        "r_set": list(rep.r_set),
-        "mode": rep.mode,
-        "graphs_examined": rep.graphs_examined,
-        "cells": rep.cells,
-        "violations": rep.violations,
-        "counterexamples": list(rep.counterexamples),
-        "skipped_pairs": [list(p) for p in rep.skipped_pairs],
-    }

@@ -14,7 +14,7 @@ are bit strings in the same layout, and use the same two.
 
 from __future__ import annotations
 
-from .graphs import VERTEX_CAP, Graph, ResourceLimitError
+from .graphs import VERTEX_CAP, Graph, _check_vertex_count
 
 _HEADER = ">>graph6<<"
 _SIX_BITS = {63 + k: format(k, "06b") for k in range(64)}  # graph6 byte -> its six bits
@@ -103,8 +103,7 @@ def from_graph6(text: str, cap: int = VERTEX_CAP) -> Graph:
         body_at = 4
     else:
         raise Graph6ParseError("8-byte size header not supported", 0)
-    if n > cap:
-        raise ResourceLimitError(f"vertex count {n} exceeds cap {cap}")
+    _check_vertex_count(n, cap)
     nbits = n * (n - 1) // 2
     nchars = (nbits + 5) // 6
     if len(s) - body_at < nchars:
@@ -141,8 +140,7 @@ def from_edge_list_text(text: str, cap: int = VERTEX_CAP) -> Graph:
         raise Graph6ParseError("header must be two integers", 1) from None
     if n < 0 or m < 0:
         raise Graph6ParseError("header values must be nonnegative", 1)
-    if n > cap:
-        raise ResourceLimitError(f"vertex count {n} exceeds cap {cap}")
+    _check_vertex_count(n, cap)
     if len(lines) - 1 != m:
         raise Graph6ParseError(f"expected {m} edge lines, got {len(lines) - 1}", len(lines))
     adj = [0] * n

@@ -8,7 +8,7 @@ as immutable after construction; every operation returns new objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 VERTEX_CAP = 64
 
@@ -139,12 +139,18 @@ class VertexSet:
         return f"VertexSet({set(self.members) if self.bits else '{}'}, n={self.n})"
 
 
-def new_graph(n: int, cap: int = VERTEX_CAP) -> Graph:
-    """Edgeless graph on n vertices; n above the cap is a resource error."""
+def _check_vertex_count(n: int, cap: int, over: Optional[str] = None) -> None:
+    """The one vertex-count check of the builders: a negative n is a value
+    error, an n above the cap a resource error (with message ``over`` if given)."""
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n > cap:
-        raise ResourceLimitError(f"vertex count {n} exceeds cap {cap}")
+        raise ResourceLimitError(over or f"vertex count {n} exceeds cap {cap}")
+
+
+def new_graph(n: int, cap: int = VERTEX_CAP) -> Graph:
+    """Edgeless graph on n vertices; n above the cap is a resource error."""
+    _check_vertex_count(n, cap)
     return Graph._raw(n, (0,) * n)
 
 
@@ -164,8 +170,7 @@ def add_edge(g: Graph, u: int, v: int) -> Graph:
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]], cap: int = VERTEX_CAP) -> Graph:
     """Build a graph from an iterable of (u, v) pairs; duplicates are merged."""
-    if n > cap:
-        raise ResourceLimitError(f"vertex count {n} exceeds cap {cap}")
+    _check_vertex_count(n, cap)
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):

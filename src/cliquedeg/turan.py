@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import VERTEX_CAP, Graph, ResourceLimitError
+from .graphs import VERTEX_CAP, Graph, ResourceLimitError, _check_vertex_count
 
 MAX_PARTS = 65_536  # parts one decomposition may list
 
@@ -41,15 +41,12 @@ def turan_size(r: int, n: int) -> int:
 
 def turan_decomposition(r: int, n: int) -> TuranDecomposition:
     """Balanced part sizes (s parts of size ceil(n/r), then r-s of size floor(n/r))."""
-    if r < 1:
-        raise ValueError(f"part count must be at least 1, got {r}")
-    if n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    t = turan_size(r, n)  # checks r and n
     if r > MAX_PARTS:
         raise ResourceLimitError(f"part count {r} exceeds cap {MAX_PARTS}")
     q, s = divmod(n, r)
     parts = (q + 1,) * s + (q,) * (r - s)
-    return TuranDecomposition(r=r, n=n, parts=parts, s=s, t=turan_size(r, n))
+    return TuranDecomposition(r=r, n=n, parts=parts, s=s, t=t)
 
 
 def complete_multipartite(parts: list[int] | tuple[int, ...], cap: int = VERTEX_CAP) -> Graph:
@@ -65,8 +62,7 @@ def complete_multipartite(parts: list[int] | tuple[int, ...], cap: int = VERTEX_
         if k < 1:
             raise ValueError(f"part sizes must be positive, got {k}")
     n = sum(parts)
-    if n > cap:
-        raise ResourceLimitError(f"vertex count {n} exceeds cap {cap}")
+    _check_vertex_count(n, cap)
     return _multipartite(n, parts)
 
 
@@ -89,8 +85,7 @@ def turan_graph(r: int, n: int, cap: int = VERTEX_CAP) -> tuple[Graph, TuranDeco
     graph is then complete on n vertices); they remain in the
     decomposition so that the part list always has r entries.
     """
-    if n > cap:
-        raise ResourceLimitError(f"vertex count {n} exceeds cap {cap}")
+    _check_vertex_count(n, cap)
     dec = turan_decomposition(r, n)
     # for r > n the parts are n ones followed by zeros
     return _multipartite(n, dec.parts if r <= n else dec.parts[:n]), dec

@@ -163,6 +163,8 @@ def test_triangle_bits_reject_other_characters():
             graph_from_triangle_bits(3, bits)
     with pytest.raises(ValueError):
         graph_from_triangle_bits(3, "10")
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        graph_from_triangle_bits(-1, "0")  # n(n - 1)/2 = 1 bit
     assert graph_from_triangle_bits(3, "101").m == 2
 
 
@@ -363,6 +365,20 @@ def test_empty_ranges_still_check_their_arguments():
         scan_m(9, 2, 3, 2)
     with pytest.raises(ValueError, match="restarts and iter-budget"):
         scan_m(5, 2, 3, 2, mode="local-search", restarts=-1)
+    with pytest.raises(ResourceLimitError, match="canonical mode capped"):
+        scan_m(9, 2, 3, 2, mode="canonical")
+    with pytest.raises(ResourceLimitError, match="vertex count 65 exceeds cap 64"):
+        scan_m(65, 2, 3, 2, mode="local-search")
+    for mode in ("exhaustive", "canonical", "local-search"):
+        with pytest.raises(ValueError, match="vertex count must be at least 1, got 0"):
+            scan_m(0, 2, 3, 2, mode=mode)
+    with pytest.raises(ValueError, match="worker count must be at least 1"):
+        scan_m(5, 2, 3, 2, workers=0)
+    # the max-graphs limit is per cell, so it needs a cell: C(10, 3) = 120
+    with pytest.raises(ResourceLimitError, match="120 graphs exceed max-graphs limit 100"):
+        scan_m(5, 2, 3, 4, max_graphs=100)
+    with pytest.raises(ValueError, match="unknown exact mode 'local-search'"):
+        extremal_degree_sum_min(5, 3, 2, mode="local-search")
     assert scan_m(5, 2, 3, 2) == []
     assert scan_m(5, 2, 3, 2, mode="local-search") == []
 
@@ -464,6 +480,8 @@ def test_stability_params():
         StabilityParams(epsilon=Fraction(-1, 8), r=3, n=7)
     with pytest.raises(ValueError):
         StabilityParams(epsilon=Fraction(3, 2), r=2, n=7)
+    with pytest.raises(ValueError, match="exact rational"):
+        StabilityParams(epsilon=0.25, r=2, n=5)
 
 
 def test_stability_small_table():

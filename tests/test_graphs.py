@@ -66,6 +66,8 @@ def test_graph_constructor_validates():
         Graph(2, (0b01, 0b10))  # self loops
     with pytest.raises(ValueError):
         Graph(2, (0b100, 0b000))  # out of range
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        from_edges(-1, [])
     g = Graph(3, (0b010, 0b101, 0b010))  # path 0-1-2
     assert g.m == 2
 
