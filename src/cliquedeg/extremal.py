@@ -12,17 +12,17 @@ An exact witness is the minimizer with the least labeled encoding
 (graph6's column-order upper-triangle bits, vertices in index order,
 built by ``graph6._column_chunks``).  The scan visits every relabeling
 of every minimizer, so this is also the least canonical form among them,
-and no canonical search is needed.  The labeled enumeration is shardable
-into contiguous lexicographic ranges of the m-subset space; a shard's key
-is not itself canonical, but the merge (minimum value, ties by least
-labeled encoding) covers the whole space, so any worker count produces
-identical records.  Canonical forms, for local-search tie keys and
-canonical-mode verify, come from ``canonical``.
+and no canonical search is needed.  The labeled enumeration walks the
+m-subsets of the edge slots in revolving-door order, one edge out and one
+edge in per graph, and is shardable into contiguous ranges of that order;
+a shard's key is not itself canonical, but the merge (minimum value, ties
+by least labeled encoding) covers the whole space and ignores order, so
+any worker count produces identical records.  Canonical forms, for
+local-search tie keys and canonical-mode verify, come from ``canonical``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -82,30 +82,92 @@ def _slots(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
+def _door_unrank(t: int, rank: int) -> list[int]:
+    """The t-subset of revolving-door rank ``rank``, ascending.
+
+    The subsets whose largest element is x hold ranks C(x, t) to
+    C(x + 1, t) - 1, and their remaining (t - 1)-subsets run through that
+    block in reverse revolving-door order.
+    """
+    subset = []
+    while t:
+        x = t - 1
+        while math.comb(x + 1, t) <= rank:
+            x += 1
+        subset.append(x)
+        rank = math.comb(x, t - 1) - 1 - (rank - math.comb(x, t))
+        t -= 1
+    return subset[::-1]
+
+
 def _labeled_adjs(
     n: int, m: int, start: int = 0, stop: Optional[int] = None
-) -> Iterator[list[int]]:
-    """Adjacency rows of the labeled (n, m)-graphs with lex ranks in [start, stop).
+) -> Iterator[tuple[list[int], list[int]]]:
+    """(rows, degrees) of the labeled (n, m)-graphs with ranks in [start, stop).
 
     Ranks order the m-subsets of the edge slots (pairs (u, v) with u < v
-    in lexicographic order) lexicographically.  The full range holds every
-    relabeling of every graph, which is why the least labeled encoding
-    among a scan's minimizers is their least canonical form.
+    in lexicographic order) in revolving-door order (Knuth, TAOCP 4A
+    7.2.1.3, Algorithm R): consecutive subsets differ by one slot out and
+    one slot in, so each step updates the rows and degrees in place.  The
+    same two lists are yielded every time; a caller that keeps a graph
+    copies it.  The full range holds every relabeling of every graph,
+    which is why the least labeled encoding among a scan's minimizers is
+    their least canonical form.
     """
+    nslots = n * (n - 1) // 2
+    total = math.comb(nslots, m)
+    stop = total if stop is None else min(stop, total)
+    if start >= stop:
+        return
     slots = [(u, v, 1 << u, 1 << v) for u, v in _slots(n)]
-    for combo in itertools.islice(itertools.combinations(slots, m), start, stop):
-        adj = [0] * n
-        for u, v, bu, bv in combo:
-            adj[u] |= bv
-            adj[v] |= bu
-        yield adj
+    c = [-1, *_door_unrank(m, start), nslots]  # c[1..m], c[m + 1] = N as in Algorithm R
+    rows = [0] * n
+    degs = [0] * n
+    for x in c[1:-1]:
+        u, v, bu, bv = slots[x]
+        rows[u] |= bv
+        rows[v] |= bu
+        degs[u] += 1
+        degs[v] += 1
+    yield rows, degs
+    easy = 1 if m & 1 else -1
+    for _ in range(stop - start - 1):
+        out = c[1]
+        into = out + easy
+        if 0 <= into < c[2]:  # R3, the easy case: c[1] moves up for odd m, down for even
+            c[1] = into
+        else:
+            j = 2
+            while True:
+                if (j + m) & 1:  # R4, try to decrease c[j]; here c[j] = c[j-1] + 1
+                    if c[j] >= j:
+                        out, into = c[j], j - 2
+                        c[j], c[j - 1] = c[j - 1], into
+                        break
+                elif c[j] + 1 < c[j + 1]:  # R5, try to increase c[j]; here c[j-1] = j - 2
+                    out, into = j - 2, c[j] + 1
+                    c[j - 1], c[j] = c[j], into
+                    break
+                j += 1
+        u, v, bu, bv = slots[out]
+        rows[u] ^= bv
+        rows[v] ^= bu
+        degs[u] -= 1
+        degs[v] -= 1
+        u, v, bu, bv = slots[into]
+        rows[u] ^= bv
+        rows[v] ^= bu
+        degs[u] += 1
+        degs[v] += 1
+        yield rows, degs
 
 
 def enumerate_graphs(n: int, m: int) -> Iterator[Graph]:
     """Every labeled graph on n vertices with exactly m edges, each once.
 
     Iterates m-subsets of the edge slots (pairs (u, v) with u < v in
-    lexicographic order) in lexicographic order.
+    lexicographic order) in revolving-door order, so consecutive graphs
+    differ by one edge removed and one edge added.
     """
     _check_vertex_count(
         n, CANONICAL_MAX_N,
@@ -114,8 +176,8 @@ def enumerate_graphs(n: int, m: int) -> Iterator[Graph]:
     nslots = n * (n - 1) // 2
     if m < 0 or m > nslots:
         raise ValueError(f"edge count {m} outside 0..{nslots}")
-    for adj in _labeled_adjs(n, m):
-        yield Graph._raw(n, tuple(adj))
+    for rows, _ in _labeled_adjs(n, m):
+        yield Graph._raw(n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +185,7 @@ def enumerate_graphs(n: int, m: int) -> Iterator[Graph]:
 
 
 def _min_scan_range(args) -> tuple[Optional[int], Optional[tuple[int, ...]], int]:
-    """Partial minimum over one contiguous lex range of edge-subset space.
+    """Partial minimum over one contiguous range of revolving-door ranks.
 
     Returns (min value, labeled chunks of the tie-least minimizer,
     graphs examined).  The chunks are this range's least labeled encoding;
@@ -133,8 +195,8 @@ def _min_scan_range(args) -> tuple[Optional[int], Optional[tuple[int, ...]], int
     n, m, r, start, count = args
     best_val: Optional[int] = None
     best_chunks: Optional[tuple[int, ...]] = None
-    for adj in _labeled_adjs(n, m, start, start + count):
-        val = max_degree_sum_value(adj, list(map(int.bit_count, adj)), r, abort_above=best_val)
+    for adj, degs in _labeled_adjs(n, m, start, start + count):
+        val = max_degree_sum_value(adj, degs, r, abort_above=best_val)
         if val is None:
             continue
         chunks = _column_chunks(adj, n)
@@ -665,6 +727,11 @@ def verify_all(
         if r < 2:
             raise ValueError(f"clique sizes must be at least 2, got {r}")
     skipped = tuple((n, r) for n in range(2, n_max + 1) for r in rs_all if r > n)
+    if not any(r <= n_max for r in rs_all):
+        raise ValueError(
+            f"verify plan holds no cell: n_max={n_max}, clique sizes {rs_all} "
+            "(need n_max >= 2 and some clique size at most n_max)"
+        )
     plan = []  # (n, clique sizes, their thresholds, edge counts), all checked up front
     for n in range(2, n_max + 1):
         rs = [r for r in rs_all if r <= n]
@@ -693,10 +760,9 @@ def verify_all(
         for m in ms:
             active = [r for r in rs if thresholds[r] <= m]
             cell_min: dict[int, Optional[int]] = {r: None for r in active}
-            for adj in _labeled_adjs(n, m):
+            for adj, degs in _labeled_adjs(n, m):
                 if mode == "canonical" and _canonical_chunks(adj, n) != _column_chunks(adj, n):
                     continue  # not the representative of its isomorphism class
-                degs = list(map(int.bit_count, adj))
                 regular = min(degs) == max(degs)
                 for r in active:
                     graphs_examined += 1

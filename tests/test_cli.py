@@ -192,6 +192,13 @@ def test_verify_exits_2_on_a_violation(capsys, monkeypatch):
     assert {ce["kind"] for ce in result["counterexamples"]} == {"greedy"}
 
 
+@pytest.mark.parametrize("n_max, r", [("-3", "2"), ("5", ","), ("3", "7")])
+def test_verify_with_no_cell_exits_1(n_max, r, capsys):
+    code, out, err = run_cli(capsys, "verify", "--n-max", n_max, "--r", r)
+    assert code == 1 and out == ""
+    assert "no cell" in err
+
+
 def test_workers_flag_does_not_change_output(tmp_path):
     base = [
         "scan", "--n", "5", "--r", "2", "--m-from", "6", "--m-to", "8",

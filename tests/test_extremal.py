@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -57,6 +58,33 @@ def test_enumerate_each_graph_once_with_right_size():
         assert g.n == 4 and g.m == 3
         seen.add(g.adj)
     assert len(seen) == math.comb(6, 3)
+
+
+def _edge_set(rows):
+    return frozenset((u, v) for u, v in slot_pairs(len(rows)) if rows[u] >> v & 1)
+
+
+def test_labeled_walk_matches_combinations_oracle():
+    from cliquedeg.extremal import _labeled_adjs
+
+    for n in range(6):
+        slots = slot_pairs(n)
+        for m in range(len(slots) + 1):
+            expected = {frozenset(c) for c in itertools.combinations(slots, m)}
+            walk = []
+            for rows, degs in _labeled_adjs(n, m):
+                assert degs == [row.bit_count() for row in rows], (n, m)
+                walk.append(_edge_set(rows))
+            assert len(walk) == len(expected) == math.comb(len(slots), m)
+            assert set(walk) == expected, (n, m)
+            for prev, cur in zip(walk, walk[1:]):
+                # revolving door: one edge out, one edge in
+                assert len(prev - cur) == 1 == len(cur - prev), (n, m)
+            if n == 4:
+                for start in range(len(walk) + 1):
+                    for stop in range(start, len(walk) + 1):
+                        part = [_edge_set(rows) for rows, _ in _labeled_adjs(n, m, start, stop)]
+                        assert part == walk[start:stop], (m, start, stop)
 
 
 def test_canonical_invariance_under_relabeling():
@@ -241,25 +269,88 @@ def test_canonical_mode_at_n8_matches_oracle():
 
 
 def test_sharded_scan_identical_to_single_worker():
-    single = scan_m(6, 3, 11, 13, workers=1)
-    sharded = scan_m(6, 3, 11, 13, workers=3)
-    assert records_to_csv(single) == records_to_csv(sharded)
+    for r in (2, 3, 4):
+        single = records_to_csv(scan_m(6, r, 11, 13, workers=1))
+        for workers in (2, 3, 4):
+            assert records_to_csv(scan_m(6, r, 11, 13, workers=workers)) == single, (r, workers)
 
 
 def test_arbitrary_shard_partitions_merge_identically():
     from cliquedeg.extremal import _min_scan_range
 
-    n, m, r = 6, 9, 2
-    total = math.comb(15, 9)
-    whole = _min_scan_range((n, m, r, 0, total))
-    for cuts in ([0, 1, total], [0, total // 3, total // 3 + 7, total]):
-        parts = [
-            _min_scan_range((n, m, r, lo, hi - lo))
-            for lo, hi in zip(cuts, cuts[1:])
-        ]
-        assert sum(p[2] for p in parts) == total == whole[2]
-        merged = min((p[0], p[1]) for p in parts if p[0] is not None)
-        assert merged == (whole[0], whole[1])
+    def merged(n, m, r, cuts):
+        parts = [_min_scan_range((n, m, r, lo, hi - lo)) for lo, hi in zip(cuts, cuts[1:])]
+        assert sum(p[2] for p in parts) == cuts[-1]
+        return min((p[0], p[1]) for p in parts if p[0] is not None)
+
+    for r in (2, 3):
+        n, m = 6, 9
+        total = math.comb(15, 9)
+        whole = _min_scan_range((n, m, r, 0, total))
+        assert whole[2] == total
+        for cuts in ([0, 1, total], [0, total // 3, total // 3 + 7, total]):
+            assert merged(n, m, r, cuts) == whole[:2], (r, cuts)
+        # every rank of a small cell as a cut, alone and all at once
+        n, m = 5, 5
+        total = math.comb(10, 5)
+        whole = _min_scan_range((n, m, r, 0, total))
+        for cut in range(total + 1):
+            assert merged(n, m, r, [0, cut, total]) == whole[:2], (r, cut)
+        assert merged(n, m, r, list(range(total + 1))) == whole[:2]
+
+
+# scan_m CSV written by the lexicographic scan; the walk order must change no value or witness
+GOLDEN_RECORDS = {
+    (7, 4, 17, 19): """\
+n,m,r,mode,delta_min,ratio_num,ratio_den,witness_g6,graphs_examined
+7,17,4,exhaustive,20,136,7,FNz~o,5985
+7,18,4,exhaustive,21,144,7,F]~vw,1330
+7,19,4,exhaustive,23,152,7,F]~~w,210
+""",
+    (6, 2, 0, 15): """\
+n,m,r,mode,delta_min,ratio_num,ratio_den,witness_g6,graphs_examined
+6,0,2,exhaustive,0,0,1,E???,1
+6,1,2,exhaustive,2,2,3,E??G,15
+6,2,2,exhaustive,2,4,3,E?C_,105
+6,3,2,exhaustive,2,2,1,E@Q?,455
+6,4,2,exhaustive,3,8,3,E?N?,1365
+6,5,2,exhaustive,4,10,3,E@N?,3003
+6,6,2,exhaustive,4,4,1,EBj?,5005
+6,7,2,exhaustive,5,14,3,E@v_,6435
+6,8,2,exhaustive,6,16,3,E?~o,6435
+6,9,2,exhaustive,6,6,1,EFz_,5005
+6,10,2,exhaustive,7,20,3,EK~o,3003
+6,11,2,exhaustive,8,22,3,EJ~o,1365
+6,12,2,exhaustive,8,8,1,E]~o,455
+6,13,2,exhaustive,10,26,3,EN~w,105
+6,14,2,exhaustive,10,28,3,E^~w,15
+6,15,2,exhaustive,10,10,1,E~~w,1
+""",
+    (6, 3, 0, 15): """\
+n,m,r,mode,delta_min,ratio_num,ratio_den,witness_g6,graphs_examined
+6,0,3,exhaustive,0,0,1,E???,1
+6,1,3,exhaustive,0,1,1,E??G,15
+6,2,3,exhaustive,0,2,1,E??W,105
+6,3,3,exhaustive,0,3,1,E??w,455
+6,4,3,exhaustive,0,4,1,E?@w,1365
+6,5,3,exhaustive,0,5,1,E?Bw,3003
+6,6,3,exhaustive,0,6,1,E?No,5005
+6,7,3,exhaustive,0,7,1,E?^o,6435
+6,8,3,exhaustive,0,8,1,E?~o,6435
+6,9,3,exhaustive,0,9,1,EFz_,5005
+6,10,3,exhaustive,10,10,1,EK~o,3003
+6,11,3,exhaustive,12,11,1,EFzw,1365
+6,12,3,exhaustive,12,12,1,E]~o,455
+6,13,3,exhaustive,14,13,1,E]~w,105
+6,14,3,exhaustive,15,14,1,E^~w,15
+6,15,3,exhaustive,15,15,1,E~~w,1
+""",
+}
+
+
+@pytest.mark.parametrize("cell", GOLDEN_RECORDS, ids=lambda c: "n{}-r{}-m{}..{}".format(*c))
+def test_scan_records_match_golden_csv(cell):
+    assert records_to_csv(scan_m(*cell)) == GOLDEN_RECORDS[cell]
 
 
 def test_scan_values_rise_through_threshold():
@@ -516,6 +607,22 @@ def test_verify_all_skips_oversized_r():
     rep = verify_all(3, [2, 5])
     assert rep.violations == 0
     assert rep.skipped_pairs == ((2, 5), (3, 5))
+
+
+@pytest.mark.parametrize(
+    "n_max, r_set",
+    [(-3, [2]), (1, [2]), (5, []), (3, [7])],
+    ids=["n-max-below-2", "n-max-1", "no-clique-size", "every-r-above-n-max"],
+)
+def test_verify_rejects_a_plan_with_no_cell(n_max, r_set, monkeypatch):
+    import cliquedeg.extremal as ext
+
+    def fail(*args, **kwargs):
+        raise AssertionError("verify worked on a plan with no cell")
+
+    monkeypatch.setattr(ext, "_labeled_adjs", fail)
+    with pytest.raises(ValueError, match="no cell"):
+        verify_all(n_max, r_set)
 
 
 def test_verify_all_n5():
