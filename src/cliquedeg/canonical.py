@@ -84,7 +84,3 @@ def graph_from_triangle_bits(n: int, bits: str) -> Graph:
     if not set(bits) <= {"0", "1"}:
         raise ValueError(f"bits must be '0' or '1', got {bits!r}")
     return Graph._raw(n, tuple(_decode_rows(n, bits)))
-
-
-def _graph_from_chunks(n: int, chunks: tuple[int, ...]) -> Graph:
-    return graph_from_triangle_bits(n, _render_chunks(chunks))

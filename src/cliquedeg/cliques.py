@@ -22,29 +22,38 @@ class DegreeSumResult:
     witness: Optional[VertexSet]
 
 
-def enumerate_r_cliques(g: Graph, r: int) -> Iterator[VertexSet]:
-    """Yield every r-clique exactly once, in lexicographic order of sorted vertex lists.
+def _clique_sums(adj, degs, r: int) -> Iterator[tuple[int, int]]:
+    """Yield (degree sum, bitmask) for every r-clique, r >= 1, in lexicographic order.
 
-    Ordered backtracking: each chosen vertex restricts the candidate set
-    to its higher-indexed common neighbors, so every clique appears once.
+    A depth-first walk that, like the kernel, tries candidates bit by bit:
+    a stack entry is an open clique with its untried candidates w, and once
+    the lowest, v, is cleared from w, ``w & adj[v]`` is exactly the set of
+    higher common neighbours.  A clique with too few of them is not opened.
     """
+    stack = [(0, 0, r, (1 << len(adj)) - 1)]  # (degree sum, members, still needed, candidates)
+    while stack:
+        acc, members, need, w = stack.pop()
+        if need == 1:
+            while w:
+                b = w & -w
+                w ^= b
+                yield acc + degs[b.bit_length() - 1], members | b
+        elif w:
+            b = w & -w
+            w ^= b
+            stack.append((acc, members, need, w))
+            v = b.bit_length() - 1
+            cand = w & adj[v]
+            if cand.bit_count() >= need - 1:
+                stack.append((acc + degs[v], members | b, need - 1, cand))
+
+
+def enumerate_r_cliques(g: Graph, r: int) -> Iterator[VertexSet]:
+    """Yield every r-clique exactly once, in lexicographic order of sorted vertex lists."""
     if r < 1:
         raise ValueError(f"clique size must be at least 1, got {r}")
-    n = g.n
-    if r > n:
-        return
-    adj = g.adj
-
-    def extend(chosen: int, count: int, cand: int) -> Iterator[int]:
-        for v in _bits(cand):
-            higher = cand & adj[v] & ~((1 << (v + 1)) - 1)
-            if count + 1 == r:
-                yield chosen | 1 << v
-            else:
-                yield from extend(chosen | 1 << v, count + 1, higher)
-
-    for bits in extend(0, 0, g.full_mask):
-        yield VertexSet(bits, n)
+    for _, bits in _clique_sums(g.adj, g.degrees(), r):
+        yield VertexSet(bits, g.n)
 
 
 def degree_sum(g: Graph, members: VertexSet) -> int:

@@ -30,11 +30,10 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterator, Optional
 
-from .canonical import CANONICAL_MAX_N, _canonical_chunks, _graph_from_chunks
-from .canonical import graph_from_triangle_bits  # re-exported: callers import it from here
-from .cliques import enumerate_r_cliques, max_degree_sum_value
-from .graph6 import _column_chunks, to_graph6
-from .graphs import VERTEX_CAP, Graph, ResourceLimitError, _check_vertex_count
+from .canonical import CANONICAL_MAX_N, _canonical_chunks
+from .cliques import _clique_sums, max_degree_sum_value
+from .graph6 import _chunks_to_graph6, _column_chunks
+from .graphs import VERTEX_CAP, Graph, ResourceLimitError, _check_vertex_count, from_edges
 from .greedy import _floor_failure, _mean_failure, greedy_prefix_extremes
 from .turan import turan_size
 
@@ -219,7 +218,7 @@ def _regime(m: int, r: int, n: int) -> str:
     return REGIME_ABOVE
 
 
-def _make_record(n, m, r, mode, value, witness: Graph, examined) -> ScanRecord:
+def _make_record(n, m, r, mode, value, chunks: tuple[int, ...], examined) -> ScanRecord:
     ratio = Fraction(2 * r * m, n)
     return ScanRecord(
         n=n,
@@ -227,7 +226,7 @@ def _make_record(n, m, r, mode, value, witness: Graph, examined) -> ScanRecord:
         r=r,
         mode=mode,
         delta_min=value,
-        witness_g6=to_graph6(witness),
+        witness_g6=_chunks_to_graph6(n, chunks),
         ratio_num=ratio.numerator,
         ratio_den=ratio.denominator,
         graphs_examined=examined,
@@ -241,9 +240,9 @@ def _check_cells(
 ) -> None:
     """Every argument check of a search in ``mode`` (one of ``modes``) over the cells
     (n, m, r) for m in ``ms``: the shared arguments, then the mode's own (``workers``
-    for exact modes, ``restarts`` and ``iter_budget`` for local search), then each m
-    in order, so a bad cell raises before any cell is searched and an empty range
-    still checks."""
+    and ``max_graphs`` for exact modes, ``restarts`` and ``iter_budget`` for local
+    search), then each m in order, so a bad cell raises before any cell is searched
+    and an empty range still checks."""
     if n < 1:
         raise ValueError(f"vertex count must be at least 1, got {n}")
     if r < 1:
@@ -257,6 +256,8 @@ def _check_cells(
             raise ValueError(f"worker count must be at least 1, got {workers}")
         if workers > MAX_WORKERS:
             raise ResourceLimitError(f"worker count {workers} exceeds cap {MAX_WORKERS}")
+        if max_graphs is not None and max_graphs < 0:
+            raise ValueError(f"max-graphs limit must be nonnegative, got {max_graphs}")
     else:
         if restarts < 0 or iter_budget < 0:
             raise ValueError("restarts and iter-budget must be nonnegative")
@@ -297,9 +298,8 @@ def extremal_degree_sum_min(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_min_scan_range, jobs))
     examined = sum(p[2] for p in parts)
-    candidates = [(p[0], p[1]) for p in parts if p[0] is not None]
-    value, chunks = min(candidates)
-    return _make_record(n, m, r, mode, value, _graph_from_chunks(n, chunks), examined)
+    value, chunks, _ = min(p for p in parts if p[0] is not None)
+    return _make_record(n, m, r, mode, value, chunks, examined)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +376,7 @@ def _best_swap(cur: list[int], n: int, r: int):
     neighbourhood, d' being the degrees after the swap.
     """
     degs = list(map(int.bit_count, cur))
-    found = enumerate_r_cliques(Graph._raw(n, tuple(cur)), r)
-    cliques = sorted(((sum(degs[v] for v in c), c.bits) for c in found), reverse=True)
+    cliques = sorted(_clique_sums(cur, degs, r), reverse=True)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if cur[u] >> v & 1]
     holes = [(u, v) for u in range(n) for v in range(u + 1, n) if not cur[u] >> v & 1]
     rows = list(cur)  # cur with the removed edge taken out; degs follow it
@@ -409,22 +408,20 @@ def _best_swap(cur: list[int], n: int, r: int):
             val = kept_best + ((kept_top >> hu | kept_top >> hv) & 1)
             if nb_val is not None and val > nb_val:
                 continue
-            if r == 2:
-                val = max(val, degs[hu] + degs[hv] + 2)
-            elif r > 2:
+            if r > 1:
                 # a clique through (hu, hv) adds an (r-2)-clique of their common
                 # neighbourhood, which cannot beat the r-2 largest degrees there
                 ends = degs[hu] + degs[hv] + 2
                 common = rows[hu] & rows[hv]
                 bound, need = ends, r - 2
                 for x in by_degree:
+                    if not need:
+                        break
                     if common >> x & 1:
                         bound += degs[x]
                         need -= 1
-                        if not need:
-                            break
                 if not need and bound > val:
-                    if r == 3:
+                    if r <= 3:  # at most one vertex besides the ends: the bound is attained
                         val = bound
                     else:
                         # emptied rows outside the common neighbourhood keep every
@@ -481,20 +478,17 @@ def extremal_degree_sum_local_search(
     best_val: Optional[int] = None
     best_key = None
     for i in range(restarts + 1):
-        if i == 0:
-            cur = list(near_regular_graph(n, m).adj)
-        else:
-            cur = [0] * n
-            for u, v in random.Random(seed + i).sample(slots, m):
-                cur[u] |= 1 << v
-                cur[v] |= 1 << u
+        start = (
+            from_edges(n, random.Random(seed + i).sample(slots, m)) if i else near_regular_graph(n, m)
+        )
+        cur = list(start.adj)
         cur_val = max_degree_sum_value(cur, list(map(int.bit_count, cur)), r)
         evals += 1
         cur_key = _graph_key(cur, n)
-        if best_val is None or (cur_val, cur_key) < (best_val, best_key):
-            best_val, best_key = cur_val, cur_key
         plateau = 0
         while True:
+            if best_val is None or (cur_val, cur_key) < (best_val, best_key):
+                best_val, best_key = cur_val, cur_key
             nb_val, nb_key, nb_adj = _best_swap(cur, n, r)
             evals += m * (len(slots) - m)
             if nb_val is None:
@@ -506,14 +500,8 @@ def extremal_degree_sum_local_search(
                 cur, cur_key = nb_adj, nb_key
             else:
                 break
-            if (cur_val, cur_key) < (best_val, best_key):
-                best_val, best_key = cur_val, cur_key
-
-    if n <= CANONICAL_MAX_N:
-        witness = _graph_from_chunks(n, best_key)
-    else:
-        witness = Graph._raw(n, tuple(best_key))
-    return _make_record(n, m, r, LOCAL_SEARCH, best_val, witness, evals)
+    chunks = best_key if n <= CANONICAL_MAX_N else _column_chunks(best_key, n)
+    return _make_record(n, m, r, LOCAL_SEARCH, best_val, chunks, evals)
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +760,8 @@ def verify_all(
                         _mean_failure(n, m, r, regular, max_sum),
                     )
                     for problem in filter(None, problems):
-                        found(n, m, r, "greedy", problem, to_graph6(Graph._raw(n, tuple(adj))))
+                        g6 = _chunks_to_graph6(n, _column_chunks(adj, n))
+                        found(n, m, r, "greedy", problem, g6)
                     val = max_degree_sum_value(adj, degs, r, abort_above=cell_min[r])
                     if val is not None and (cell_min[r] is None or val < cell_min[r]):
                         cell_min[r] = val

@@ -8,8 +8,8 @@ padding are all rejected, with the byte offset of the problem.
 
 This module is the only one that walks the column-order layout: one
 encoder (``_column_chunks``, then ``_render_chunks``) and one decoder
-(``_decode_rows``).  Exact witnesses and canonical forms (``canonical``)
-are bit strings in the same layout, and use the same two.
+(``_decode_rows``).  Search witnesses and canonical forms (``canonical``)
+are column chunks in the same layout, and use the same two.
 """
 
 from __future__ import annotations
@@ -63,19 +63,23 @@ def _decode_rows(n: int, bits: str) -> list[int]:
     return adj
 
 
-def to_graph6(g: Graph) -> str:
-    """Encode a graph as a graph6 string (no trailing newline)."""
-    n = g.n
+def _chunks_to_graph6(n: int, chunks: tuple[int, ...]) -> str:
+    """The graph6 string of an n-vertex graph given by its column chunks."""
     if n <= 62:
         out = [chr(63 + n)]
     elif n <= 258047:
         out = ["~", chr(63 + (n >> 12)), chr(63 + (n >> 6 & 63)), chr(63 + (n & 63))]
     else:
         raise ValueError(f"graph6 encoding for n={n} not supported")
-    bits = _render_chunks(_column_chunks(g.adj, n))
+    bits = _render_chunks(chunks)
     bits += "0" * (-len(bits) % 6)
     out.extend(chr(63 + int(bits[k:k + 6], 2)) for k in range(0, len(bits), 6))
     return "".join(out)
+
+
+def to_graph6(g: Graph) -> str:
+    """Encode a graph as a graph6 string (no trailing newline)."""
+    return _chunks_to_graph6(g.n, _column_chunks(g.adj, g.n))
 
 
 def from_graph6(text: str, cap: int = VERTEX_CAP) -> Graph:

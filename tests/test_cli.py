@@ -128,6 +128,11 @@ def test_exit_codes_on_errors(capsys, tmp_path):
         "--mode", "local-search", "--restarts", str(MAX_RESTARTS + 1),
     )
     assert code == 1 and "cap" in err
+    code, out, err = run_cli(
+        capsys, "extremal", "--n", "5", "--m", "4", "--r", "2", "--max-graphs", "-1"
+    )
+    assert code == 1 and out == ""
+    assert err == "cliquedeg: error: max-graphs limit must be nonnegative, got -1\n"
     code, _, err = run_cli(capsys, "stability", "--n", "5", "--r", "2", "--epsilon", "1/0")
     assert code == 1 and err.startswith("cliquedeg: error: ") and "Traceback" not in err
     bad = tmp_path / "bad.g6"

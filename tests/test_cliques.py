@@ -106,6 +106,26 @@ def test_matches_naive_oracle(g, r):
     assert (res.witness.members if res.witness is not None else None) == first_max
 
 
+def test_clique_walk_matches_naive_oracle_on_every_small_graph():
+    """The raw walk behind clique enumeration and local search: on every labeled
+    graph with n <= 5 and every r = 1..n+1, the same cliques in the same
+    (lexicographic) order, each with the degree sum of its members."""
+    from cliquedeg.cliques import _clique_sums
+
+    for n in range(6):
+        pairs = slot_pairs(n)
+        for mask in range(1 << len(pairs)):
+            edges = [p for k, p in enumerate(pairs) if mask >> k & 1]
+            adj = from_edges(n, edges).adj
+            deg = naive_degrees(n, edges)
+            for r in range(1, n + 2):
+                expected = [
+                    (sum(deg[v] for v in c), sum(1 << v for v in c))
+                    for c in naive_r_cliques(n, edges, r)
+                ]
+                assert list(_clique_sums(adj, deg, r)) == expected, (n, edges, r)
+
+
 @settings(max_examples=100, deadline=None)
 @given(graphs(min_n=2, max_n=7), st.integers(1, 4), st.data())
 def test_monotone_under_edge_addition(g, r, data):

@@ -21,11 +21,11 @@ from cliquedeg import (
     verify_all,
     StabilityParams,
 )
+from cliquedeg.canonical import graph_from_triangle_bits
 from cliquedeg.extremal import (
     MAX_RESTARTS,
     MAX_WORKERS,
     _band_failure,
-    graph_from_triangle_bits,
     records_to_csv,
     stability_report_to_csv,
 )
@@ -472,6 +472,52 @@ def test_empty_ranges_still_check_their_arguments():
         extremal_degree_sum_min(5, 3, 2, mode="local-search")
     assert scan_m(5, 2, 3, 2) == []
     assert scan_m(5, 2, 3, 2, mode="local-search") == []
+    for mode in ("exhaustive", "canonical"):
+        with pytest.raises(ValueError, match="max-graphs limit must be nonnegative, got -1"):
+            scan_m(5, 2, 3, 2, mode=mode, max_graphs=-1)
+    with pytest.raises(ValueError, match="max-graphs limit must be nonnegative, got -1"):
+        verify_all(5, [2], max_graphs=-1)
+    with pytest.raises(ValueError, match="max-graphs limit must be nonnegative, got -1"):
+        stability_experiment(StabilityParams(Fraction(1, 4), 2, 5), max_graphs=-1)
+
+
+# Local-search records pinned byte for byte: the ten benchmark cells (n = 12..16,
+# r = 3, 4, m = t(r, n), seed 0, no restarts), whose witnesses are encoded from
+# labeled rows, then cells with n <= 8 and restarts, whose witnesses are encoded
+# from canonical keys.
+GOLDEN_LOCAL_SEARCH_CELLS = [
+    *((n, turan_size(r, n), r, 0, 0) for n in range(12, 17) for r in (3, 4)),
+    (6, 9, 2, 3, 4),
+    (7, 16, 3, 5, 3),
+    (7, 18, 4, 1, 3),
+    (8, 21, 3, 2, 2),
+    (8, 24, 4, 7, 2),
+]
+GOLDEN_LOCAL_SEARCH_CSV = r"""n,m,r,mode,delta_min,ratio_num,ratio_den,witness_g6,graphs_examined
+12,48,3,local-search,24,24,1,KUzrtz]zvnN],865
+12,54,4,local-search,36,36,1,KUzvvz}~v~N},649
+13,56,3,local-search,27,336,13,Lu^zp{}RzNm^]^,7393
+13,63,4,local-search,40,504,13,L~|xx|^r~Nm~]~,5671
+14,65,3,local-search,29,195,7,M~vxp{^ZuNs^yZ]n_,15211
+14,73,4,local-search,44,292,7,Mnxzzw~Vz^m~]~N~_,13141
+15,75,3,local-search,30,30,1,NUzvrw}fu^[}{}}^Nfo,2251
+15,84,4,local-search,46,224,5,N}~~r}}F}^}}w~]^fnw,10585
+16,85,3,local-search,33,255,8,Oq~rz}}Fo~k}W~[^nFzw~,23801
+16,96,4,local-search,48,48,1,OUzvvx}nu~\}|}}~^nr|},2305
+6,9,2,local-search,6,6,1,EFz_,599
+7,16,3,local-search,14,96,7,FFz~o,644
+7,18,4,local-search,21,144,7,F]~vw,382
+8,21,3,local-search,16,63,4,GFzf~w,1326
+8,24,4,local-search,24,24,1,G]~v~w,579
+"""
+
+
+def test_local_search_records_match_golden_csv():
+    records = [
+        extremal_degree_sum_local_search(n, m, r, seed=seed, restarts=restarts)
+        for n, m, r, seed, restarts in GOLDEN_LOCAL_SEARCH_CELLS
+    ]
+    assert records_to_csv(records) == GOLDEN_LOCAL_SEARCH_CSV
 
 
 def test_local_search_matches_naive_oracle():
