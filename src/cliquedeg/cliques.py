@@ -7,11 +7,6 @@ from typing import Iterator, Optional
 
 from .graphs import Graph, VertexSet, _bits
 
-# The kernel's degree bound runs on graphs with at least this many vertices.
-# Below it a whole search is a few dozen nodes and the bound costs more
-# than it prunes (measured break-even: n = 9 to 10).
-BOUND_MIN_N = 10
-
 
 @dataclass(frozen=True)
 class DegreeSumResult:
@@ -25,10 +20,11 @@ class DegreeSumResult:
 def _clique_sums(adj, degs, r: int) -> Iterator[tuple[int, int]]:
     """Yield (degree sum, bitmask) for every r-clique, r >= 1, in lexicographic order.
 
-    A depth-first walk that, like the kernel, tries candidates bit by bit:
-    a stack entry is an open clique with its untried candidates w, and once
-    the lowest, v, is cleared from w, ``w & adj[v]`` is exactly the set of
-    higher common neighbours.  A clique with too few of them is not opened.
+    A depth-first walk that tries candidates bit by bit: a stack entry is an
+    open clique with its untried candidates w, and once the lowest, v, is
+    cleared from w, ``w & adj[v]`` is exactly the set of higher common
+    neighbours.  A clique with too few of them is not opened, so r > n costs
+    O(n).  ``_best_clique`` runs the same walk with a bound and an abort.
     """
     stack = [(0, 0, r, (1 << len(adj)) - 1)]  # (degree sum, members, still needed, candidates)
     while stack:
@@ -71,32 +67,27 @@ def _best_clique(
 ) -> tuple[int, int] | None:
     """Kernel: the maximum degree sum over r-cliques and the lex-least clique attaining it.
 
-    Depth-first over cliques grown in increasing vertex order, walking
-    candidate bitmasks bit by bit.  Returns (value, clique bitmask), (0, 0)
-    when there is no r-clique, or None as soon as some r-clique's sum
-    exceeds ``abort_above``.  Among cliques of equal sum the one holding
-    the lowest vertex of their symmetric difference wins, which is the
-    lexicographic order of sorted vertex lists.
-
-    For r >= 3 on graphs of at least BOUND_MIN_N vertices the search is a
-    branch and bound with degree as the vertex weight (Carraghan and
-    Pardalos 1990, Östergård 2001).  At a clique of degree sum ``acc``
-    that still needs ``need`` vertices after the next one, a candidate v
-    is dropped, for this clique and every extension of it, when
-    ``acc + degs[v] + need * max(degs) < best``.  The comparison is
-    strict, so cliques tying the best sum are still visited and the
-    lex-least witness is kept; a clique above ``abort_above`` always
-    beats ``best`` and is never pruned, so the abort stays exact.
-    Values and witnesses are those of the plain search.
+    Returns (value, clique bitmask), (0, 0) when there is no r-clique, or
+    None as soon as some r-clique's sum exceeds ``abort_above``.  For
+    r != 2 it runs the walk of ``_clique_sums``, which meets cliques in
+    lexicographic order of sorted vertex lists, so the first maximum found
+    is the lex-least.  The walk is a branch and bound with degree as the
+    vertex weight (Carraghan and Pardalos 1990, Östergård 2001): at an open
+    clique of degree sum ``acc`` that still needs ``need`` vertices, a
+    candidate v is not opened when ``acc + degs[v] + (need - 1) * max(degs)
+    <= best``.  No clique through v can beat ``best``, and one that ties
+    it comes later in lex order, so it could not replace it; a clique above
+    ``abort_above`` beats ``best`` and is never dropped, so the abort stays
+    exact.
     """
     n = len(adj)
-    if r > n:
-        return 0, 0
     limit = abort_above if abort_above is not None else sum(degs)  # no clique exceeds it
     best = -1
     best_bits = 0
     if r == 2:
-        # pairs come in lexicographic order, so the first maximum is lex-least
+        # pairs come in lexicographic order, so the first maximum is lex-least; this
+        # loop stays because taking pairs through the walk below doubled the kernel
+        # time of exact-scan's slowest cell, (n, m, r) = (7, 12, 2) (+110 to +130%)
         for u in range(n):
             du = degs[u]
             w = adj[u] >> (u + 1) << (u + 1)
@@ -110,45 +101,30 @@ def _best_clique(
                     best = s
                     best_bits = 1 << u | b
     else:
-        last = r - 1
-        top = max(degs) if n >= BOUND_MIN_N else 0  # 0: no bound on small graphs
-        stack = [(0, 0, (1 << n) - 1, 0)]  # (degree sum, size, candidates, members)
+        top = max(degs, default=0)
+        stack = [(0, 0, r, (1 << n) - 1)]  # (degree sum, members, still needed, candidates)
         while stack:
-            acc, size, w, members = stack.pop()
-            if size == last:
+            acc, members, need, w = stack.pop()
+            if need == 1:
                 while w:
                     b = w & -w
                     w ^= b
                     s = acc + degs[b.bit_length() - 1]
-                    if s >= best:
-                        bits = members | b
-                        if s > best:
-                            if s > limit:
-                                return None
-                            best = s
-                            best_bits = bits
-                        else:
-                            diff = bits ^ best_bits
-                            if bits & diff & -diff:
-                                best_bits = bits
-            else:
-                need = last - size
-                if top:
-                    low = best - acc - need * top
-                    if low > 0:  # no clique through a candidate of lower degree reaches best
-                        x = w
-                        while x:
-                            b = x & -x
-                            x ^= b
-                            if degs[b.bit_length() - 1] < low:
-                                w ^= b
-                while w:
-                    b = w & -w
-                    w ^= b
-                    v = b.bit_length() - 1
-                    cand = w & adj[v]  # w holds the candidates above v
-                    if cand.bit_count() >= need:
-                        stack.append((acc + degs[v], size + 1, cand, members | b))
+                    if s > best:
+                        if s > limit:
+                            return None
+                        best = s
+                        best_bits = members | b
+            elif w:
+                b = w & -w
+                w ^= b
+                stack.append((acc, members, need, w))
+                v = b.bit_length() - 1
+                s = acc + degs[v]
+                if s + (need - 1) * top > best:
+                    cand = w & adj[v]
+                    if cand.bit_count() >= need - 1:
+                        stack.append((s, members | b, need - 1, cand))
     return (best, best_bits) if best >= 0 else (0, 0)
 
 

@@ -239,10 +239,10 @@ def _check_cells(
     max_graphs: Optional[int] = None, restarts: int = 0, iter_budget: int = 0,
 ) -> None:
     """Every argument check of a search in ``mode`` (one of ``modes``) over the cells
-    (n, m, r) for m in ``ms``: the shared arguments, then the mode's own (``workers``
-    and ``max_graphs`` for exact modes, ``restarts`` and ``iter_budget`` for local
-    search), then each m in order, so a bad cell raises before any cell is searched
-    and an empty range still checks."""
+    (n, m, r) for m in ``ms``: the shared arguments and ranges in every mode, then
+    each m in order, so a bad cell raises before any cell is searched and an empty
+    range still checks.  Local search enforces no worker count or graph limit, so
+    it refuses them rather than ignore them; the C(N, m) limit is exact modes' own."""
     if n < 1:
         raise ValueError(f"vertex count must be at least 1, got {n}")
     if r < 1:
@@ -250,24 +250,26 @@ def _check_cells(
     if mode not in modes:
         raise ValueError(f"unknown exact mode {mode!r}")
     _check_vertex_count(n, *MODES[mode])
-    exact = mode != LOCAL_SEARCH
-    if exact:
-        if workers < 1:
-            raise ValueError(f"worker count must be at least 1, got {workers}")
-        if workers > MAX_WORKERS:
-            raise ResourceLimitError(f"worker count {workers} exceeds cap {MAX_WORKERS}")
-        if max_graphs is not None and max_graphs < 0:
-            raise ValueError(f"max-graphs limit must be nonnegative, got {max_graphs}")
-    else:
-        if restarts < 0 or iter_budget < 0:
-            raise ValueError("restarts and iter-budget must be nonnegative")
-        if restarts > MAX_RESTARTS:
-            raise ResourceLimitError(f"restart count {restarts} exceeds cap {MAX_RESTARTS}")
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
+    if workers > MAX_WORKERS:
+        raise ResourceLimitError(f"worker count {workers} exceeds cap {MAX_WORKERS}")
+    if max_graphs is not None and max_graphs < 0:
+        raise ValueError(f"max-graphs limit must be nonnegative, got {max_graphs}")
+    if restarts < 0 or iter_budget < 0:
+        raise ValueError("restarts and iter-budget must be nonnegative")
+    if restarts > MAX_RESTARTS:
+        raise ResourceLimitError(f"restart count {restarts} exceeds cap {MAX_RESTARTS}")
+    if mode == LOCAL_SEARCH and (workers != 1 or max_graphs is not None):
+        raise ValueError(
+            f"local search takes one worker and no max-graphs limit, "
+            f"got workers={workers}, max-graphs={max_graphs}"
+        )
     nslots = n * (n - 1) // 2
     for m in ms:
         if m < 0 or m > nslots:
             raise ValueError(f"edge count {m} outside 0..{nslots}")
-        if exact and max_graphs is not None and (total := math.comb(nslots, m)) > max_graphs:
+        if max_graphs is not None and (total := math.comb(nslots, m)) > max_graphs:
             raise ResourceLimitError(f"{total} graphs exceed max-graphs limit {max_graphs}")
 
 

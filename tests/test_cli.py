@@ -133,6 +133,17 @@ def test_exit_codes_on_errors(capsys, tmp_path):
     )
     assert code == 1 and out == ""
     assert err == "cliquedeg: error: max-graphs limit must be nonnegative, got -1\n"
+    # no search starts: local search refuses limits it cannot enforce, exact modes check restarts
+    ls = "extremal --n 9 --m 20 --r 3 --mode local-search --restarts 0".split()
+    for extra in (
+        ("--max-graphs", "1"), ("--max-graphs", "-5"), ("--workers", str(MAX_WORKERS + 1)),
+        ("--workers", "0"), ("--workers", "2"),
+    ):
+        code, out, err = run_cli(capsys, *ls, *extra)
+        assert code == 1 and out == "" and err.startswith("cliquedeg: error: "), extra
+    code, out, err = run_cli(capsys, *"extremal --n 5 --m 4 --r 2 --restarts -5".split())
+    assert code == 1 and out == ""
+    assert err == "cliquedeg: error: restarts and iter-budget must be nonnegative\n"
     code, _, err = run_cli(capsys, "stability", "--n", "5", "--r", "2", "--epsilon", "1/0")
     assert code == 1 and err.startswith("cliquedeg: error: ") and "Traceback" not in err
     bad = tmp_path / "bad.g6"

@@ -71,6 +71,11 @@ def test_max_degree_sum_r1_is_max_degree():
 def test_r_beyond_n_gives_zero_without_error():
     res = max_clique_degree_sum(from_edges(2, [(0, 1)]), 5)
     assert res.value == 0 and res.witness is None
+    k64 = from_edges(64, slot_pairs(64))
+    res = max_clique_degree_sum(k64, 64)
+    assert res.value == 64 * 63 and res.witness.members == tuple(range(64))
+    res = max_clique_degree_sum(k64, 65)
+    assert res.value == 0 and res.witness is None
 
 
 def test_turan_graph_value_r_divides_n():
@@ -173,20 +178,32 @@ def test_fast_kernel_agrees_and_aborts_correctly():
 
 
 def _kernel_cases():
-    """Dense random graphs, then regular and vertex-transitive graphs on
-    which many r-cliques tie at the maximum."""
+    """(n, edges, clique sizes): small tie-heavy graphs at every r = 1..n+1, then
+    dense random graphs and larger regular and vertex-transitive graphs, on which
+    many r-cliques tie at the maximum."""
+    for n in range(5, 10):
+        small = [
+            slot_pairs(n),  # complete
+            [(u, v) for u, v in slot_pairs(n) if u % 3 != v % 3],  # Turán, three parts
+            [(u, v) for u, v in slot_pairs(n) if u % 4 != v % 4],  # Turán, four parts
+            circulant(n, (1, 2)),
+            circulant(n, (2, 3)),
+            [(u, v) for u, v in slot_pairs(n) if v != u + 1 or u % 2],  # matching removed
+        ]
+        for edges in small:
+            yield n, edges, range(1, n + 2)
     rng = random.Random(71)
     for _ in range(10):
         n = rng.randint(16, 22)
         density = rng.uniform(0.6, 0.9)
-        yield n, [p for p in slot_pairs(n) if rng.random() < density]
-    yield 13, circulant(13, (1, 2, 3, 5))
-    yield 16, circulant(16, (1, 2, 3, 4, 6, 8))
+        yield n, [p for p in slot_pairs(n) if rng.random() < density], range(3, 7)
+    yield 13, circulant(13, (1, 2, 3, 5)), range(3, 7)
+    yield 16, circulant(16, (1, 2, 3, 4, 6, 8)), range(3, 7)
     for n, k in ((15, 5), (18, 6), (20, 4)):  # Turán graphs
-        yield n, [(u, v) for u, v in slot_pairs(n) if u % k != v % k]
+        yield n, [(u, v) for u, v in slot_pairs(n) if u % k != v % k], range(3, 7)
     for n in (12, 16):  # complements of perfect matchings
-        yield n, [(u, v) for u, v in slot_pairs(n) if v != u + 1 or u % 2]
-    yield 14, slot_pairs(14)
+        yield n, [(u, v) for u, v in slot_pairs(n) if v != u + 1 or u % 2], range(3, 7)
+    yield 14, slot_pairs(14), range(3, 7)
 
 
 def test_kernel_matches_oracle_on_dense_and_symmetric_graphs():
@@ -194,11 +211,11 @@ def test_kernel_matches_oracle_on_dense_and_symmetric_graphs():
     as the witness, and the exact abort around the maximum."""
     from cliquedeg.cliques import _best_clique
 
-    for n, edges in _kernel_cases():
+    for n, edges, rs in _kernel_cases():
         g = from_edges(n, edges)
         degs = g.degrees()
         deg = naive_degrees(n, edges)
-        for r in range(3, 7):
+        for r in rs:
             cliques = naive_r_cliques(n, edges, r)
             value = max((sum(deg[v] for v in c) for c in cliques), default=0)
             first = next((c for c in cliques if sum(deg[v] for v in c) == value), None)
@@ -209,4 +226,36 @@ def test_kernel_matches_oracle_on_dense_and_symmetric_graphs():
                 if cliques and value > cutoff:
                     assert found is None
                 else:
-                    assert found == (value, res.witness.bits if res.witness else 0)
+                    assert found == (value, res.witness.bits if res.witness else 0), (n, r)
+
+
+def _golden_graphs():
+    """Seeded dense random graphs with n = 24..40, past the oracle's reach."""
+    rng = random.Random(2440)
+    for n in range(24, 41, 2):
+        density = rng.uniform(0.6, 0.8)
+        yield n, [p for p in slot_pairs(n) if rng.random() < density]
+
+
+# (n, m, [(value, witness) for r = 3, 4, 5]) of each golden graph, as `cliquedeg
+# delta` prints them: pinned, because the oracle tests stop at n = 22.
+GOLDEN_DELTAS = [
+    (24, 183, [(54, (8, 16, 22)), (71, (0, 8, 16, 22)), (87, (0, 5, 8, 16, 22))]),
+    (26, 255, [(69, (1, 4, 9)), (91, (1, 4, 9, 14)), (112, (0, 1, 4, 9, 14))]),
+    (28, 274, [(70, (0, 8, 14)), (92, (0, 5, 8, 14)), (113, (0, 2, 5, 8, 14))]),
+    (30, 280, [(70, (3, 7, 23)), (91, (3, 7, 15, 23)), (112, (3, 7, 15, 21, 23))]),
+    (32, 346, [(74, (0, 11, 20)), (98, (0, 11, 16, 20)), (122, (0, 11, 16, 18, 20))]),
+    (34, 377, [(78, (16, 18, 21)), (104, (16, 18, 21, 33)), (129, (2, 16, 18, 21, 33))]),
+    (36, 397, [(78, (0, 15, 25)), (103, (0, 13, 15, 25)), (128, (0, 13, 15, 17, 25))]),
+    (38, 466, [(92, (1, 11, 14)), (122, (1, 11, 14, 23)), (150, (1, 11, 14, 23, 33))]),
+    (40, 619, [(105, (21, 32, 33)), (139, (6, 21, 32, 33)), (173, (6, 12, 21, 32, 33))]),
+]
+
+
+def test_golden_delta_witnesses_beyond_the_oracle():
+    got = []
+    for n, edges in _golden_graphs():
+        g = from_edges(n, edges)
+        results = [max_clique_degree_sum(g, r) for r in (3, 4, 5)]
+        got.append((n, g.m, [(res.value, res.witness.members) for res in results]))
+    assert got == GOLDEN_DELTAS

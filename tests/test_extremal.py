@@ -479,6 +479,26 @@ def test_empty_ranges_still_check_their_arguments():
         verify_all(5, [2], max_graphs=-1)
     with pytest.raises(ValueError, match="max-graphs limit must be nonnegative, got -1"):
         stability_experiment(StabilityParams(Fraction(1, 4), 2, 5), max_graphs=-1)
+    # every range is checked in every mode, and local search refuses the limits it cannot enforce
+    with pytest.raises(ValueError, match="restarts and iter-budget must be nonnegative"):
+        scan_m(5, 2, 3, 2, restarts=-5)
+    with pytest.raises(ValueError, match="restarts and iter-budget must be nonnegative"):
+        scan_m(5, 2, 3, 2, mode="canonical", iter_budget=-1)
+    with pytest.raises(ResourceLimitError, match="restart count 10001 exceeds cap"):
+        scan_m(5, 2, 3, 2, restarts=10_001)
+    with pytest.raises(ValueError, match="max-graphs limit must be nonnegative, got -5"):
+        scan_m(5, 2, 3, 2, mode="local-search", max_graphs=-5)
+    with pytest.raises(ResourceLimitError, match="worker count 99 exceeds cap"):
+        scan_m(5, 2, 3, 2, mode="local-search", workers=99)
+    with pytest.raises(ValueError, match="worker count must be at least 1, got 0"):
+        scan_m(5, 2, 3, 2, mode="local-search", workers=0)
+    no_limits = "local search takes one worker and no max-graphs limit"
+    with pytest.raises(ValueError, match=f"{no_limits}, got workers=2, max-graphs=None"):
+        scan_m(5, 2, 3, 2, mode="local-search", workers=2)
+    with pytest.raises(ValueError, match=f"{no_limits}, got workers=1, max-graphs=1"):
+        scan_m(5, 2, 3, 2, mode="local-search", max_graphs=1)
+    with pytest.raises(ValueError, match=no_limits):
+        stability_experiment(StabilityParams(Fraction(1, 4), 2, 5), mode="local-search", workers=2)
 
 
 # Local-search records pinned byte for byte: the ten benchmark cells (n = 12..16,
