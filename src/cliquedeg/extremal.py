@@ -8,17 +8,26 @@ keeping each graph whose labeled encoding is its canonical form, so
 there it counts isomorphism classes.  Local-search mode runs
 steepest-descent edge swaps and reports an upper bound.
 
+The clique kernel runs only on swap-least labelings, those that no swap
+of two consecutive vertices j, j + 1 lowers at the j-th column
+(``canonical._swap_least``, the cheap pre-test of Read's orderly
+generation); about 1% of the labelings at n = 7 pass.  The value is the
+same on every relabeling, and the least labeling of every graph passes,
+so the minimum is unchanged.
+
 An exact witness is the minimizer with the least labeled encoding
 (graph6's column-order upper-triangle bits, vertices in index order,
-built by ``graph6._column_chunks``).  The scan visits every relabeling
-of every minimizer, so this is also the least canonical form among them,
-and no canonical search is needed.  The labeled enumeration walks the
-m-subsets of the edge slots in revolving-door order, one edge out and one
-edge in per graph, and is shardable into contiguous ranges of that order;
-a shard's key is not itself canonical, but the merge (minimum value, ties
-by least labeled encoding) covers the whole space and ignores order, so
-any worker count produces identical records.  Canonical forms, for
-local-search tie keys and canonical-mode verify, come from ``canonical``.
+built by ``graph6._column_chunks``).  The scan reaches the least
+relabeling of every minimizer, so this is also the least canonical form
+among them, and no canonical search is needed.  The labeled enumeration
+walks the m-subsets of the edge slots in revolving-door order, one edge
+out and one edge in per graph, and is shardable into contiguous ranges of
+that order; a shard's key is not itself canonical, but the merge (minimum
+value, ties by least labeled encoding) covers the whole space and ignores
+order, and the least canonical minimizer passes the pre-test in whichever
+shard holds it, so any worker count produces identical records.
+Canonical forms, for local-search tie keys and canonical-mode verify,
+come from ``canonical``.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterator, Optional
 
-from .canonical import CANONICAL_MAX_N, _canonical_chunks
+from .canonical import CANONICAL_MAX_N, _canonical_chunks, _swap_least
 from .cliques import _clique_sums, max_degree_sum_value
 from .graph6 import _chunks_to_graph6, _column_chunks
 from .graphs import VERTEX_CAP, Graph, ResourceLimitError, _check_vertex_count, from_edges
@@ -100,7 +109,7 @@ def _door_unrank(t: int, rank: int) -> list[int]:
 
 
 def _labeled_adjs(
-    n: int, m: int, start: int = 0, stop: Optional[int] = None
+    n: int, m: int, start: int = 0, stop: Optional[int] = None, least: bool = False
 ) -> Iterator[tuple[list[int], list[int]]]:
     """(rows, degrees) of the labeled (n, m)-graphs with ranks in [start, stop).
 
@@ -112,23 +121,48 @@ def _labeled_adjs(
     copies it.  The full range holds every relabeling of every graph,
     which is why the least labeled encoding among a scan's minimizers is
     their least canonical form.
+
+    With ``least``, it yields only the labelings that pass
+    ``canonical._swap_least``, at one addition per moved slot.  With column
+    chunks as in ``graph6._column_chunks`` (vertex 0 most significant),
+    swap j lowers chunk j exactly when chunk j exceeds chunk[j + 1] >> 1,
+    chunk j + 1 without its bit for vertex j.  ``fields`` packs
+    2^j + (chunk[j + 1] >> 1) - chunk[j] for 1 <= j <= n - 2 from bit
+    j(j+1)/2 - 1 up; each field lies in [1, 2^(j+1)), so none borrows from
+    the next, and its top bit, in ``guard``, is set exactly when swap j
+    passes.  Slot (u, v) is bit v - 1 - u of chunk v: its ``weight`` moves
+    field v and field v - 1.
     """
     nslots = n * (n - 1) // 2
     total = math.comb(nslots, m)
     stop = total if stop is None else min(stop, total)
     if start >= stop:
         return
-    slots = [(u, v, 1 << u, 1 << v) for u, v in _slots(n)]
+
+    def field_bit(j: int, p: int) -> int:  # bit p of field j
+        return 1 << j * (j + 1) // 2 - 1 + p
+
+    def weight(u: int, v: int) -> int:
+        w = field_bit(v - 1, v - 2 - u) if u < v - 1 else 0  # in chunk v >> 1
+        if v <= n - 2:
+            w -= field_bit(v, v - 1 - u)  # in chunk v
+        return w
+
+    fields = sum(field_bit(j, j) for j in range(1, n - 1))  # the empty graph passes every swap
+    guard = fields if least else 0
+    slots = [(u, v, 1 << u, 1 << v, weight(u, v)) for u, v in _slots(n)]
     c = [-1, *_door_unrank(m, start), nslots]  # c[1..m], c[m + 1] = N as in Algorithm R
     rows = [0] * n
     degs = [0] * n
     for x in c[1:-1]:
-        u, v, bu, bv = slots[x]
+        u, v, bu, bv, w = slots[x]
         rows[u] |= bv
         rows[v] |= bu
         degs[u] += 1
         degs[v] += 1
-    yield rows, degs
+        fields += w
+    if fields & guard == guard:
+        yield rows, degs
     easy = 1 if m & 1 else -1
     for _ in range(stop - start - 1):
         out = c[1]
@@ -148,17 +182,20 @@ def _labeled_adjs(
                     c[j - 1], c[j] = c[j], into
                     break
                 j += 1
-        u, v, bu, bv = slots[out]
+        u, v, bu, bv, w = slots[out]
         rows[u] ^= bv
         rows[v] ^= bu
         degs[u] -= 1
         degs[v] -= 1
-        u, v, bu, bv = slots[into]
+        fields -= w
+        u, v, bu, bv, w = slots[into]
         rows[u] ^= bv
         rows[v] ^= bu
         degs[u] += 1
         degs[v] += 1
-        yield rows, degs
+        fields += w
+        if fields & guard == guard:
+            yield rows, degs
 
 
 def enumerate_graphs(n: int, m: int) -> Iterator[Graph]:
@@ -187,14 +224,16 @@ def _min_scan_range(args) -> tuple[Optional[int], Optional[tuple[int, ...]], int
     """Partial minimum over one contiguous range of revolving-door ranks.
 
     Returns (min value, labeled chunks of the tie-least minimizer,
-    graphs examined).  The chunks are this range's least labeled encoding;
-    only the merge over the whole space is canonical.  Top-level so it can
-    run in worker processes.
+    graphs examined); the value is None when no labeling in the range is
+    swap-least.  The chunks are this range's least swap-least encoding;
+    only the merge over the whole space is canonical.  graphs_examined
+    counts every labeling in the range, tested or kept.  Top-level so it
+    can run in worker processes.
     """
     n, m, r, start, count = args
     best_val: Optional[int] = None
     best_chunks: Optional[tuple[int, ...]] = None
-    for adj, degs in _labeled_adjs(n, m, start, start + count):
+    for adj, degs in _labeled_adjs(n, m, start, start + count, least=True):
         val = max_degree_sum_value(adj, degs, r, abort_above=best_val)
         if val is None:
             continue
@@ -285,7 +324,8 @@ def extremal_degree_sum_min(
 
     The witness is the minimizer with the least labeled encoding, which
     is the least canonical form among the minimizers because the scan
-    covers every relabeling of each.
+    covers every relabeling of each; the kernel sees only the swap-least
+    ones, which include that least relabeling.
     """
     _check_cells(n, r, (m,), mode, EXACT_MODES, workers=workers, max_graphs=max_graphs)
     total = math.comb(n * (n - 1) // 2, m)
@@ -557,10 +597,12 @@ def _band_failure(n: int, m: int, r: int, value: int) -> Optional[str]:
 
 def band_violation(rec: ScanRecord) -> Optional[str]:
     """The two-sided bound 2rm <= value*n < 2rm + rn, checked when m is at or
-    above the threshold; only exact modes can witness a violation."""
+    above the threshold and n >= r, as the paper states it (for r > n the
+    threshold is C(n, 2) and K_n has no r-clique); only exact modes can
+    witness a violation."""
     if rec.mode not in EXACT_MODES:
         return None
-    if rec.regime == REGIME_BELOW:
+    if rec.regime == REGIME_BELOW or rec.r > rec.n:
         return None
     return _band_failure(rec.n, rec.m, rec.r, rec.delta_min)
 
@@ -705,6 +747,9 @@ def verify_all(
     """Run both greedy checks on every labeled graph in range and the two-sided
     bound on every exact minimum; every greedy violation is carried as graph6.
 
+    The minima come from the labelings that pass ``canonical._swap_least``
+    alone, since the least labeling of every graph passes it; canonical mode
+    keeps only those whose labeled encoding is their canonical form.
     graphs_examined counts (graph, r) incidences: each enumerated graph
     once per clique size it is checked against.
     """
@@ -751,7 +796,10 @@ def verify_all(
             active = [r for r in rs if thresholds[r] <= m]
             cell_min: dict[int, Optional[int]] = {r: None for r in active}
             for adj, degs in _labeled_adjs(n, m):
-                if mode == "canonical" and _canonical_chunks(adj, n) != _column_chunks(adj, n):
+                least = _swap_least(adj, n)
+                if mode == "canonical" and not (
+                    least and _canonical_chunks(adj, n) == _column_chunks(adj, n)
+                ):
                     continue  # not the representative of its isomorphism class
                 regular = min(degs) == max(degs)
                 for r in active:
@@ -764,9 +812,10 @@ def verify_all(
                     for problem in filter(None, problems):
                         g6 = _chunks_to_graph6(n, _column_chunks(adj, n))
                         found(n, m, r, "greedy", problem, g6)
-                    val = max_degree_sum_value(adj, degs, r, abort_above=cell_min[r])
-                    if val is not None and (cell_min[r] is None or val < cell_min[r]):
-                        cell_min[r] = val
+                    if least:  # the least labeling of each graph is one of these
+                        val = max_degree_sum_value(adj, degs, r, abort_above=cell_min[r])
+                        if val is not None and (cell_min[r] is None or val < cell_min[r]):
+                            cell_min[r] = val
             for r in active:
                 cells += 1
                 problem = _band_failure(n, m, r, cell_min[r])

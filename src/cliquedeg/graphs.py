@@ -55,12 +55,13 @@ class Graph:
         self.m = sum(row.bit_count() for row in adj) // 2
 
     @classmethod
-    def _raw(cls, n: int, adj: tuple[int, ...]) -> "Graph":
-        """Construction bypass for callers that already guarantee the invariants."""
+    def _raw(cls, n: int, adj: tuple[int, ...], m: Optional[int] = None) -> "Graph":
+        """Construction bypass for callers that already guarantee the invariants,
+        the edge count ``m`` included when they pass it."""
         g = object.__new__(cls)
         g.n = n
         g.adj = adj
-        g.m = sum(map(int.bit_count, adj)) // 2
+        g.m = sum(map(int.bit_count, adj)) // 2 if m is None else m
         return g
 
     @property

@@ -6,6 +6,7 @@ All bound checks are integer-exact; nothing here touches floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .graphs import VERTEX_CAP, Graph, ResourceLimitError, _check_vertex_count
 
@@ -63,19 +64,26 @@ def complete_multipartite(parts: list[int] | tuple[int, ...], cap: int = VERTEX_
             raise ValueError(f"part sizes must be positive, got {k}")
     n = sum(parts)
     _check_vertex_count(n, cap)
-    return _multipartite(n, parts)
+    return _multipartite(n, [(1, k) for k in parts])
 
 
-def _multipartite(n: int, parts: tuple[int, ...]) -> Graph:
-    """Complete multipartite graph on n vertices from positive part sizes summing to n."""
+def _multipartite(n: int, blocks, m: Optional[int] = None) -> Graph:
+    """Complete multipartite graph on n vertices from blocks (count, size) of
+    equal positive part sizes, the parts summing to n; ``m`` is its edge count
+    when the caller knows it."""
     full = (1 << n) - 1
     adj: list[int] = []
-    low = 1  # lowest bit of the next part
-    for k in parts:
-        high = low << k
-        adj += [full ^ (high - low)] * k
-        low = high
-    return Graph._raw(n, tuple(adj))
+    start = 0  # lowest vertex of the next part
+    for count, k in blocks:
+        stop = start + count * k
+        if k == 1:  # singleton parts, the common case for r > n/2, in one pass
+            adj += [full ^ 1 << v for v in range(start, stop)]
+        else:
+            mask = (1 << k) - 1
+            for low in range(start, stop, k):
+                adj += [full ^ mask << low] * k
+        start = stop
+    return Graph._raw(n, tuple(adj), m)
 
 
 def turan_graph(r: int, n: int, cap: int = VERTEX_CAP) -> tuple[Graph, TuranDecomposition]:
@@ -87,5 +95,7 @@ def turan_graph(r: int, n: int, cap: int = VERTEX_CAP) -> tuple[Graph, TuranDeco
     """
     _check_vertex_count(n, cap)
     dec = turan_decomposition(r, n)
-    # for r > n the parts are n ones followed by zeros
-    return _multipartite(n, dec.parts if r <= n else dec.parts[:n]), dec
+    q = n // r
+    # s parts of size q + 1, then r - s of size q; for r > n, n singletons and empty parts
+    blocks = ((dec.s, q + 1), (r - dec.s, q)) if q else ((n, 1),)
+    return _multipartite(n, blocks, dec.t), dec

@@ -196,6 +196,19 @@ def test_violation_exit_code_path():
     assert band_violation(heur) is None
 
 
+@pytest.mark.parametrize(
+    "argv",
+    ["extremal --n 3 --m 3 --r 4", "scan --n 4 --r 5 --m-from 5 --m-to 6"],
+    ids=["extremal", "scan"],
+)
+def test_clique_size_above_n_is_no_violation(argv, capsys):
+    # t_r(n) = C(n, 2) for r > n, and K_n holds no r-clique: the bound needs n >= r
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert "delta_min=0" in out and "regime=at-threshold" in out
+    assert "VIOLATION" not in out
+
+
 def test_verify_exits_2_on_a_violation(capsys, monkeypatch):
     # no real counterexample exists, so make every greedy branch stop at one vertex
     import cliquedeg.extremal as ext

@@ -21,7 +21,7 @@ from cliquedeg import (
     verify_all,
     StabilityParams,
 )
-from cliquedeg.canonical import graph_from_triangle_bits
+from cliquedeg.canonical import _swap_least, graph_from_triangle_bits
 from cliquedeg.extremal import (
     MAX_RESTARTS,
     MAX_WORKERS,
@@ -85,6 +85,22 @@ def test_labeled_walk_matches_combinations_oracle():
                     for stop in range(start, len(walk) + 1):
                         part = [_edge_set(rows) for rows, _ in _labeled_adjs(n, m, start, stop)]
                         assert part == walk[start:stop], (m, start, stop)
+
+
+def test_least_walk_yields_exactly_the_swap_least_labelings():
+    from cliquedeg.extremal import _labeled_adjs
+
+    cells = [(n, m) for n in range(7) for m in range(math.comb(n, 2) + 1)]
+    cells += [(7, 3), (7, 4), (7, 18)]
+    for n, m in cells:
+        walk = [list(rows) for rows, _ in _labeled_adjs(n, m)]
+        least = [list(rows) for rows, _ in _labeled_adjs(n, m, least=True)]
+        assert least == [rows for rows in walk if _swap_least(rows, n)], (n, m)
+        if n == 6 and m in (5, 9):
+            total = len(walk)
+            for start, stop in ((1, total), (total // 3, 2 * total // 3), (total - 1, total)):
+                part = [list(rows) for rows, _ in _labeled_adjs(n, m, start, stop, least=True)]
+                assert part == [rows for rows in walk[start:stop] if _swap_least(rows, n)]
 
 
 def test_canonical_invariance_under_relabeling():
@@ -168,6 +184,45 @@ def test_canonical_search_matches_permutation_oracle():
         _pair_weights.cache_clear()
 
 
+def _labeled_bitstring(n, pairs):
+    """The column-order bitstring of the graph with edges ``pairs``, as labeled."""
+    have = set(pairs)
+    return "".join("1" if (i, j) in have else "0" for j in range(1, n) for i in range(j))
+
+
+def test_swap_test_keeps_every_least_labeling():
+    """The swap pre-test rejects exactly the labelings that swapping two consecutive
+    vertices j, j + 1 (j >= 1) with different neighbours below j lowers, so it
+    keeps every least labeling: every labeled graph with n <= 5, then the least
+    labeling of every class at n = 6."""
+    try:
+        for n in range(6):
+            slots = slot_pairs(n)
+            for m in range(len(slots) + 1):
+                for pairs in itertools.combinations(slots, m):
+                    own = _labeled_bitstring(n, pairs)
+                    judged = []  # the encodings after the swaps that change column j
+                    for j in range(1, n - 1):
+                        if all(((i, j) in pairs) == ((i, j + 1) in pairs) for i in range(j)):
+                            continue
+                        perm = list(range(n))
+                        perm[j], perm[j + 1] = j + 1, j
+                        image = sorted(tuple(sorted((perm[u], perm[v]))) for u, v in pairs)
+                        judged.append(_labeled_bitstring(n, image))
+                    kept = _swap_least(from_edges(n, pairs).adj, n)
+                    assert kept == all(own < s for s in judged), (n, pairs)
+                    if own == _least_bitstring(n, pairs):
+                        assert kept, (n, pairs)
+        columns = [(i, j) for j in range(1, 6) for i in range(j)]
+        for orbit in naive_isomorphism_classes(6):
+            least = _least_bitstring(6, orbit[0])
+            pairs = [p for p, bit in zip(columns, least) if bit == "1"]
+            assert _swap_least(from_edges(6, pairs).adj, 6), least
+    finally:
+        _least_bitstring.cache_clear()
+        _pair_weights.cache_clear()
+
+
 def test_canonical_cap():
     with pytest.raises(ResourceLimitError):
         canonical_form(from_edges(9, []))
@@ -235,13 +290,22 @@ def test_min_witness_is_least_canonical_minimizer():
     ]
     least = min(canonical_form(g) for g in minimizers)
     assert canonical_form(from_graph6(rec.witness_g6)) == least
-    cells = [(n, m, r, 1) for n in range(1, 6) for m in range(math.comb(n, 2) + 1) for r in (2, 3)]
-    cells += [(6, 3, 2, 2), (6, 9, 3, 2), (6, 14, 2, 2)]
-    for n, m, r, workers in cells:
-        expected = naive_least_minimizer_g6(n, m, r)
-        for mode in ("exhaustive", "canonical"):
-            rec = extremal_degree_sum_min(n, m, r, mode=mode, workers=workers)
-            assert rec.witness_g6 == expected, (n, m, r, mode)
+    # the kernel sees only swap-least labelings, so a shard may hold no candidate;
+    # the merge over shards must still find the least canonical minimizer
+    cells = [(n, m, r, (1,)) for n in range(1, 6) for m in range(math.comb(n, 2) + 1) for r in (2, 3)]
+    cells += [(n, m, r, (2, 3, 4)) for n, m, r in (
+        (6, 3, 2), (6, 9, 3), (6, 14, 2), (7, 1, 2), (7, 2, 2), (7, 20, 3),
+    )]
+    try:
+        for n, m, r, worker_counts in cells:
+            expected = naive_least_minimizer_g6(n, m, r)
+            for workers in worker_counts:
+                for mode in ("exhaustive", "canonical"):
+                    rec = extremal_degree_sum_min(n, m, r, mode=mode, workers=workers)
+                    assert rec.witness_g6 == expected, (n, m, r, mode, workers)
+    finally:
+        _least_bitstring.cache_clear()
+        _pair_weights.cache_clear()
 
 
 def test_canonical_mode_agrees_with_exhaustive():
@@ -707,6 +771,28 @@ def test_verify_canonical_counts_isomorphism_classes():
     assert rep.graphs_examined == 1 + 2 + 4 + 14 + 54
     assert rep.cells == 18
     assert rep.violations == 0
+
+
+def test_verify_canonical_n7_matches_exhaustive_band_cells(monkeypatch):
+    import cliquedeg.extremal as ext
+
+    seen = {}
+
+    def band(n, m, r, value):
+        seen[mode][n, m, r] = value
+        return _band_failure(n, m, r, value)
+
+    monkeypatch.setattr(ext, "_band_failure", band)
+    reports = {}
+    for mode in ("canonical", "exhaustive"):
+        seen[mode] = {}
+        reports[mode] = verify_all(7, (3, 4, 5), mode=mode)
+    rep = reports["canonical"]
+    assert (rep.graphs_examined, rep.cells, rep.violations) == (79, 32, 0)
+    assert rep.counterexamples == reports["exhaustive"].counterexamples == ()
+    assert rep.cells == reports["exhaustive"].cells == len(seen["canonical"])
+    # every (n, m, r) band minimum agrees between the class scan and the labeled scan
+    assert seen["canonical"] == seen["exhaustive"]
 
 
 def test_band_failure_messages():
