@@ -68,29 +68,6 @@ def _canonical_chunks(adj, n: int) -> tuple[int, ...]:
     return best[1:]
 
 
-def _swap_least(adj, n: int) -> bool:
-    """False when swapping two consecutive vertices j, j + 1 (1 <= j <= n - 2)
-    changes the labeled encoding's j-th chunk and lowers it, so the labeling
-    is not the graph's canonical form.
-
-    The swap leaves the chunks before j alone and makes vertex j + 1's bits
-    to vertices 0..j-1 the j-th chunk.  Vertex 0 is a chunk's most
-    significant bit, so the lowest vertex below j where the two rows differ
-    decides: the swap lowers the encoding when vertex j is adjacent to it.
-    A swap that keeps the j-th chunk is not judged.  Every least labeling
-    passes, so a scan that skips the failures keeps the least one of every
-    isomorphism class (the cheap pre-test of Read's orderly generation).
-    """
-    low = (1 << max(n - 2, 0)) - 1
-    for j in range(n - 2, 0, -1):
-        a = adj[j] & low
-        d = a ^ (adj[j + 1] & low)
-        if d & -d & a:
-            return False
-        low >>= 1
-    return True
-
-
 def canonical_form(g: Graph) -> str:
     """Lexicographically least upper-triangle adjacency bitstring over all
     vertex permutations; equal exactly for isomorphic graphs."""

@@ -3,17 +3,18 @@
 The exact modes enumerate every labeled graph with m edges: exhaustive
 mode up to n = 7, canonical mode the same scan with the cap raised to
 n = 8.  Both report graphs_examined = C(N, m) for N = n(n-1)/2 edge
-slots; only ``verify_all`` in canonical mode skips isomorphic repeats,
-keeping each graph whose labeled encoding is its canonical form, so
-there it counts isomorphism classes.  Local-search mode runs
-steepest-descent edge swaps and reports an upper bound.
+slots.  Local-search mode runs steepest-descent edge swaps and reports an
+upper bound.
 
-The clique kernel runs only on swap-least labelings, those that no swap
-of two consecutive vertices j, j + 1 lowers at the j-th column
-(``canonical._swap_least``, the cheap pre-test of Read's orderly
-generation); about 1% of the labelings at n = 7 pass.  The value is the
-same on every relabeling, and the least labeling of every graph passes,
-so the minimum is unchanged.
+The minimum and both greedy bounds depend on the graph alone, not on its
+labeling, so the clique kernel and ``verify_all``'s greedy checks run
+only on swap-least labelings, those that no swap of two consecutive
+vertices j, j + 1 lowers at the j-th column (the cheap pre-test of Read's
+orderly generation, built into the walk ``_labeled_adjs``); about 1% of
+the labelings at n = 7 pass, and the least labeling of every graph is
+among them.  Canonical-mode verify keeps, of those, the one labeling per
+isomorphism class that is its canonical form, so there graphs_examined
+counts classes.
 
 An exact witness is the minimizer with the least labeled encoding
 (graph6's column-order upper-triangle bits, vertices in index order,
@@ -39,7 +40,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterator, Optional
 
-from .canonical import CANONICAL_MAX_N, _canonical_chunks, _swap_least
+from .canonical import CANONICAL_MAX_N, _canonical_chunks
 from .cliques import _clique_sums, max_degree_sum_value
 from .graph6 import _chunks_to_graph6, _column_chunks
 from .graphs import VERTEX_CAP, Graph, ResourceLimitError, _check_vertex_count, from_edges
@@ -66,6 +67,7 @@ EXACT_MODES = tuple(mode for mode in MODES if mode != LOCAL_SEARCH)
 REGIME_BELOW = "below-threshold"
 REGIME_AT = "at-threshold"
 REGIME_ABOVE = "above-threshold"
+REGIME_NO_CLIQUE = "no-r-clique"  # r > n: the bound needs n >= r
 
 CSV_HEADER = "n,m,r,mode,delta_min,ratio_num,ratio_den,witness_g6,graphs_examined"
 
@@ -122,11 +124,15 @@ def _labeled_adjs(
     which is why the least labeled encoding among a scan's minimizers is
     their least canonical form.
 
-    With ``least``, it yields only the labelings that pass
-    ``canonical._swap_least``, at one addition per moved slot.  With column
-    chunks as in ``graph6._column_chunks`` (vertex 0 most significant),
-    swap j lowers chunk j exactly when chunk j exceeds chunk[j + 1] >> 1,
-    chunk j + 1 without its bit for vertex j.  ``fields`` packs
+    With ``least``, it yields only the swap-least labelings: those that no
+    swap of two consecutive vertices j, j + 1 (1 <= j <= n - 2) lowers.
+    Such a swap keeps the chunks before j and makes vertex j + 1's bits to
+    vertices 0..j-1 the j-th chunk; with column chunks as in
+    ``graph6._column_chunks`` (vertex 0 most significant), it lowers the
+    encoding exactly when chunk j exceeds chunk[j + 1] >> 1, chunk j + 1
+    without its bit for vertex j.  Every least labeling passes, so a scan
+    that sees only these still reaches the least labeling of every graph.
+    The test costs one addition per moved slot: ``fields`` packs
     2^j + (chunk[j + 1] >> 1) - chunk[j] for 1 <= j <= n - 2 from bit
     j(j+1)/2 - 1 up; each field lies in [1, 2^(j+1)), so none borrows from
     the next, and its top bit, in ``guard``, is set exactly when swap j
@@ -249,6 +255,8 @@ def _shard_bounds(total: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _regime(m: int, r: int, n: int) -> str:
+    if r > n:
+        return REGIME_NO_CLIQUE
     t = turan_size(r, n)
     if m < t:
         return REGIME_BELOW
@@ -597,12 +605,10 @@ def _band_failure(n: int, m: int, r: int, value: int) -> Optional[str]:
 
 def band_violation(rec: ScanRecord) -> Optional[str]:
     """The two-sided bound 2rm <= value*n < 2rm + rn, checked when m is at or
-    above the threshold and n >= r, as the paper states it (for r > n the
-    threshold is C(n, 2) and K_n has no r-clique); only exact modes can
-    witness a violation."""
-    if rec.mode not in EXACT_MODES:
-        return None
-    if rec.regime == REGIME_BELOW or rec.r > rec.n:
+    above the threshold and n >= r, as the paper states it (records with
+    r > n carry the regime ``no-r-clique``); only exact modes can witness a
+    violation."""
+    if rec.mode not in EXACT_MODES or rec.regime in (REGIME_BELOW, REGIME_NO_CLIQUE):
         return None
     return _band_failure(rec.n, rec.m, rec.r, rec.delta_min)
 
@@ -744,14 +750,20 @@ def verify_all(
     mode: str = "exhaustive",
     max_graphs: Optional[int] = None,
 ) -> VerifyReport:
-    """Run both greedy checks on every labeled graph in range and the two-sided
-    bound on every exact minimum; every greedy violation is carried as graph6.
+    """Run both greedy checks on every graph in range and the two-sided bound
+    on every exact minimum; every greedy violation is carried as graph6.
 
-    The minima come from the labelings that pass ``canonical._swap_least``
-    alone, since the least labeling of every graph passes it; canonical mode
-    keeps only those whose labeled encoding is their canonical form.
-    graphs_examined counts (graph, r) incidences: each enumerated graph
-    once per clique size it is checked against.
+    The graphs are the swap-least labelings of the scans' walk; canonical
+    mode keeps only those whose labeled encoding is their canonical form,
+    one per isomorphism class.  The greedy checks read isomorphism
+    invariants alone (the shortest stop, the least and greatest first-r
+    sums over all tie branches, regularity), and the least labeling of
+    every graph is swap-least, so every graph that fails a check is
+    reported: once per swap-least labeling in exhaustive mode.  Each cell's
+    minimum is the scans' own, from ``_min_scan_range``.  graphs_examined
+    counts (graph, r) incidences, each graph once per clique size it is
+    checked against: the C(N, m) labeled graphs of a cell, counted as the
+    scans count them, or its classes in canonical mode.
     """
     if n_max > EXHAUSTIVE_MAX_N:
         raise ResourceLimitError(f"verify capped at n_max={EXHAUSTIVE_MAX_N}, got {n_max}")
@@ -794,16 +806,14 @@ def verify_all(
     for n, rs, thresholds, ms in plan:
         for m in ms:
             active = [r for r in rs if thresholds[r] <= m]
-            cell_min: dict[int, Optional[int]] = {r: None for r in active}
-            for adj, degs in _labeled_adjs(n, m):
-                least = _swap_least(adj, n)
-                if mode == "canonical" and not (
-                    least and _canonical_chunks(adj, n) == _column_chunks(adj, n)
-                ):
+            total = math.comb(n * (n - 1) // 2, m)
+            kept = 0
+            for adj, degs in _labeled_adjs(n, m, least=True):
+                if mode == "canonical" and _canonical_chunks(adj, n) != _column_chunks(adj, n):
                     continue  # not the representative of its isomorphism class
+                kept += 1
                 regular = min(degs) == max(degs)
                 for r in active:
-                    graphs_examined += 1
                     shortest, min_sum, max_sum = greedy_prefix_extremes(adj, degs, r)
                     problems = (
                         _floor_failure(n, m, r, thresholds[r], shortest, min_sum),
@@ -812,13 +822,10 @@ def verify_all(
                     for problem in filter(None, problems):
                         g6 = _chunks_to_graph6(n, _column_chunks(adj, n))
                         found(n, m, r, "greedy", problem, g6)
-                    if least:  # the least labeling of each graph is one of these
-                        val = max_degree_sum_value(adj, degs, r, abort_above=cell_min[r])
-                        if val is not None and (cell_min[r] is None or val < cell_min[r]):
-                            cell_min[r] = val
+            graphs_examined += (total if mode == "exhaustive" else kept) * len(active)
             for r in active:
                 cells += 1
-                problem = _band_failure(n, m, r, cell_min[r])
+                problem = _band_failure(n, m, r, _min_scan_range((n, m, r, 0, total))[0])
                 if problem:
                     found(n, m, r, "band", problem, "")
     return VerifyReport(

@@ -114,6 +114,32 @@ def _least_bitstring(n, pairs):
     return format(least, f"0{n * (n - 1) // 2}b") if n > 1 else ""
 
 
+def naive_bitstring(n, pairs):
+    """The column-order upper-triangle bitstring of the graph with edges
+    ``pairs`` ((u, v), u < v), vertices as labeled."""
+    have = set(pairs)
+    return "".join("1" if (i, j) in have else "0" for j in range(1, n) for i in range(j))
+
+
+def naive_swap_least(n, pairs):
+    """Whether no swap of two consecutive vertices j, j + 1 (1 <= j <= n - 2)
+    that changes column j of the labeled bitstring lowers it: each such swap is
+    applied to the edge list and the image re-encoded.  A swap that leaves
+    column j alone (j and j + 1 have the same neighbours below j) is not
+    judged."""
+    have = set(pairs)
+    own = naive_bitstring(n, have)
+    for j in range(1, n - 1):
+        if all(((i, j) in have) == ((i, j + 1) in have) for i in range(j)):
+            continue
+        perm = list(range(n))
+        perm[j], perm[j + 1] = j + 1, j
+        image = [tuple(sorted((perm[u], perm[v]))) for u, v in have]
+        if naive_bitstring(n, image) < own:
+            return False
+    return True
+
+
 def naive_isomorphism_classes(n):
     """Every labeled graph on n vertices, grouped into isomorphism classes.
 

@@ -205,8 +205,11 @@ def test_clique_size_above_n_is_no_violation(argv, capsys):
     # t_r(n) = C(n, 2) for r > n, and K_n holds no r-clique: the bound needs n >= r
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
-    assert "delta_min=0" in out and "regime=at-threshold" in out
-    assert "VIOLATION" not in out
+    assert "delta_min=0" in out and "regime=no-r-clique" in out
+    assert "regime=at-threshold" not in out and "VIOLATION" not in out
+    code, out, _ = run_cli(capsys, *argv.split(), "--format", "json")
+    assert code == 0
+    assert {rec["regime"] for rec in json.loads(out)["result"]} == {"no-r-clique"}
 
 
 def test_verify_exits_2_on_a_violation(capsys, monkeypatch):
@@ -217,7 +220,7 @@ def test_verify_exits_2_on_a_violation(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--n-max", "3", "--r", "2", "--format", "json")
     assert code == 2
     result = json.loads(out)["result"]
-    assert result["violations"] == 10
+    assert result["violations"] == 8
     assert {ce["kind"] for ce in result["counterexamples"]} == {"greedy"}
 
 

@@ -18,10 +18,11 @@ from cliquedeg import (
     scan_m,
     stability_experiment,
     turan_size,
+    to_graph6,
     verify_all,
     StabilityParams,
 )
-from cliquedeg.canonical import _swap_least, graph_from_triangle_bits
+from cliquedeg.canonical import graph_from_triangle_bits
 from cliquedeg.extremal import (
     MAX_RESTARTS,
     MAX_WORKERS,
@@ -35,10 +36,12 @@ from conftest import circulant, slot_pairs
 from oracles import (
     _least_bitstring,
     _pair_weights,
+    naive_bitstring,
     naive_isomorphism_classes,
     naive_least_minimizer_g6,
     naive_local_search,
     naive_min_over_graphs,
+    naive_swap_least,
 )
 
 
@@ -87,6 +90,10 @@ def test_labeled_walk_matches_combinations_oracle():
                         assert part == walk[start:stop], (m, start, stop)
 
 
+def _pairs(rows):
+    return tuple(sorted(_edge_set(rows)))
+
+
 def test_least_walk_yields_exactly_the_swap_least_labelings():
     from cliquedeg.extremal import _labeled_adjs
 
@@ -94,13 +101,14 @@ def test_least_walk_yields_exactly_the_swap_least_labelings():
     cells += [(7, 3), (7, 4), (7, 18)]
     for n, m in cells:
         walk = [list(rows) for rows, _ in _labeled_adjs(n, m)]
+        swap_least = [rows for rows in walk if naive_swap_least(n, _pairs(rows))]
         least = [list(rows) for rows, _ in _labeled_adjs(n, m, least=True)]
-        assert least == [rows for rows in walk if _swap_least(rows, n)], (n, m)
+        assert least == swap_least, (n, m)
         if n == 6 and m in (5, 9):
             total = len(walk)
             for start, stop in ((1, total), (total // 3, 2 * total // 3), (total - 1, total)):
                 part = [list(rows) for rows, _ in _labeled_adjs(n, m, start, stop, least=True)]
-                assert part == [rows for rows in walk[start:stop] if _swap_least(rows, n)]
+                assert part == [rows for rows in walk[start:stop] if rows in swap_least]
 
 
 def test_canonical_invariance_under_relabeling():
@@ -184,40 +192,34 @@ def test_canonical_search_matches_permutation_oracle():
         _pair_weights.cache_clear()
 
 
-def _labeled_bitstring(n, pairs):
-    """The column-order bitstring of the graph with edges ``pairs``, as labeled."""
-    have = set(pairs)
-    return "".join("1" if (i, j) in have else "0" for j in range(1, n) for i in range(j))
-
-
 def test_swap_test_keeps_every_least_labeling():
-    """The swap pre-test rejects exactly the labelings that swapping two consecutive
-    vertices j, j + 1 (j >= 1) with different neighbours below j lowers, so it
-    keeps every least labeling: every labeled graph with n <= 5, then the least
-    labeling of every class at n = 6."""
+    """The swap-least walk keeps exactly the labelings that no swap of two
+    consecutive vertices j, j + 1 (j >= 1) with different neighbours below j
+    lowers, and so every least labeling: every labeled graph with n <= 5, then
+    the least labeling of every class at n = 6."""
+    from cliquedeg.extremal import _labeled_adjs
+
+    def kept(n):  # the bitstrings of the labelings the walk yields
+        return {
+            naive_bitstring(n, _pairs(rows))
+            for m in range(math.comb(n, 2) + 1)
+            for rows, _ in _labeled_adjs(n, m, least=True)
+        }
+
     try:
         for n in range(6):
+            walk = kept(n)
             slots = slot_pairs(n)
             for m in range(len(slots) + 1):
                 for pairs in itertools.combinations(slots, m):
-                    own = _labeled_bitstring(n, pairs)
-                    judged = []  # the encodings after the swaps that change column j
-                    for j in range(1, n - 1):
-                        if all(((i, j) in pairs) == ((i, j + 1) in pairs) for i in range(j)):
-                            continue
-                        perm = list(range(n))
-                        perm[j], perm[j + 1] = j + 1, j
-                        image = sorted(tuple(sorted((perm[u], perm[v]))) for u, v in pairs)
-                        judged.append(_labeled_bitstring(n, image))
-                    kept = _swap_least(from_edges(n, pairs).adj, n)
-                    assert kept == all(own < s for s in judged), (n, pairs)
+                    own = naive_bitstring(n, pairs)
+                    assert (own in walk) == naive_swap_least(n, pairs), (n, pairs)
                     if own == _least_bitstring(n, pairs):
-                        assert kept, (n, pairs)
-        columns = [(i, j) for j in range(1, 6) for i in range(j)]
+                        assert own in walk, (n, pairs)
+        walk = kept(6)
         for orbit in naive_isomorphism_classes(6):
             least = _least_bitstring(6, orbit[0])
-            pairs = [p for p, bit in zip(columns, least) if bit == "1"]
-            assert _swap_least(from_edges(6, pairs).adj, 6), least
+            assert least in walk, least
     finally:
         _least_bitstring.cache_clear()
         _pair_weights.cache_clear()
@@ -789,6 +791,9 @@ def test_verify_canonical_n7_matches_exhaustive_band_cells(monkeypatch):
         reports[mode] = verify_all(7, (3, 4, 5), mode=mode)
     rep = reports["canonical"]
     assert (rep.graphs_examined, rep.cells, rep.violations) == (79, 32, 0)
+    full = reports["exhaustive"]
+    # every labeled graph once per r it reaches, as perfbench's exact-scan gate counts them
+    assert (full.graphs_examined, full.cells, full.violations) == (30480, 32, 0)
     assert rep.counterexamples == reports["exhaustive"].counterexamples == ()
     assert rep.cells == reports["exhaustive"].cells == len(seen["canonical"])
     # every (n, m, r) band minimum agrees between the class scan and the labeled scan
@@ -811,9 +816,10 @@ def test_verify_counterexamples_carry_check_wording(monkeypatch):
     rep = verify_all(3, [2])
     greedy = [ce for ce in rep.counterexamples if ce["kind"] == "greedy"]
     band = [ce for ce in rep.counterexamples if ce["kind"] == "band"]
-    # cells (n, m) = (2, 1), (3, 2), (3, 3) hold 1, 3 and 1 labeled graphs,
-    # and each graph fails the floor check and then the mean check
-    assert len(greedy) == 2 * (1 + 3 + 1) and len(band) == 3
+    # swap-least labelings are checked, not labelings: cells (n, m) = (2, 1),
+    # (3, 2), (3, 3) hold 1, 2 and 1 of them (of 1, 3 and 1 labeled graphs),
+    # and each fails the floor check and then the mean check
+    assert len(greedy) == 2 * (1 + 2 + 1) and len(band) == 3
     assert rep.violations == len(rep.counterexamples) == len(greedy) + len(band)
     for floor_ce, mean_ce in zip(greedy[0::2], greedy[1::2]):
         n, m = floor_ce["n"], floor_ce["m"]
@@ -825,6 +831,33 @@ def test_verify_counterexamples_carry_check_wording(monkeypatch):
     for ce in band:
         assert ce["detail"] == _band_failure(ce["n"], ce["m"], 2, 0)
         assert ce["graph6"] == ""
+
+
+def test_verify_reports_a_failing_graph_once_per_swap_least_labeling(monkeypatch):
+    """A greedy check that fails on the paw alone (n = 4, degrees 3, 2, 2, 1):
+    exhaustive mode reports each of its swap-least labelings, 4 of its 12,
+    and canonical mode its canonical labeling alone."""
+    import cliquedeg.extremal as ext
+
+    greedy = ext.greedy_prefix_extremes
+
+    def paw_fails(adj, degs, r):
+        return (1, None, None) if sorted(degs) == [1, 2, 2, 3] else greedy(adj, degs, r)
+
+    monkeypatch.setattr(ext, "greedy_prefix_extremes", paw_fails)
+    paw = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    canonical = to_graph6(graph_from_triangle_bits(4, canonical_form(paw)))
+    reported = {}
+    for mode in ("exhaustive", "canonical"):
+        rep = verify_all(4, [2], mode=mode)
+        assert {ce["kind"] for ce in rep.counterexamples} == {"greedy"}
+        reported[mode] = {ce["graph6"] for ce in rep.counterexamples}
+        for g6 in reported[mode]:
+            g = from_graph6(g6)
+            assert sorted(g.degrees()) == [1, 2, 2, 3], g6
+            assert naive_swap_least(4, _pairs(g.adj)), g6
+    assert len(reported["exhaustive"]) == 4
+    assert reported["canonical"] == {canonical}
 
 
 def test_verify_rejects_bad_r():
