@@ -1,38 +1,40 @@
 """Minimum over all (n, m)-graphs of the max clique degree sum, by brute force.
 
-The exact modes enumerate every labeled graph with m edges: exhaustive
+The exact modes search every labeled graph with m edges: exhaustive
 mode up to n = 7, canonical mode the same scan with the cap raised to
-n = 8.  Both report graphs_examined = C(N, m) for N = n(n-1)/2 edge
-slots.  Local-search mode runs steepest-descent edge swaps and reports an
-upper bound.
+n = 8.  Both report graphs_examined = C(N, m), the labeled graphs
+covered, for N = n(n-1)/2 edge slots.  Local-search mode runs
+steepest-descent edge swaps and reports an upper bound.
 
 The minimum and both greedy bounds depend on the graph alone, not on its
 labeling, so the clique kernel and ``verify_all``'s greedy checks run
 only on swap-least labelings, those that no swap of two consecutive
 vertices j, j + 1 lowers at the j-th column (the cheap pre-test of Read's
-orderly generation, built into the walk ``_labeled_adjs``); about 1% of
-the labelings at n = 7 pass, and the least labeling of every graph is
-among them.  Canonical-mode verify keeps, of those, the one labeling per
-isomorphism class that is its canonical form, so there graphs_examined
-counts classes.
+orderly generation); about 1% of the labelings at n = 7 are swap-least,
+and the least labeling of every graph is among them.  ``_least_adjs``
+generates them and no other labeling, column by column: column j + 1's
+chunk is taken from [chunk[j] << 1, 2^(j+1)).  Canonical-mode verify
+keeps, of those, the one labeling per isomorphism class that is its
+canonical form, so there graphs_examined counts classes.
 
 An exact witness is the minimizer with the least labeled encoding
 (graph6's column-order upper-triangle bits, vertices in index order,
 built by ``graph6._column_chunks``).  The scan reaches the least
 relabeling of every minimizer, so this is also the least canonical form
-among them, and no canonical search is needed.  The labeled enumeration
-walks the m-subsets of the edge slots in revolving-door order, one edge
-out and one edge in per graph, and is shardable into contiguous ranges of
-that order; a shard's key is not itself canonical, but the merge (minimum
-value, ties by least labeled encoding) covers the whole space and ignores
-order, and the least canonical minimizer passes the pre-test in whichever
-shard holds it, so any worker count produces identical records.
+among them, and no canonical search is needed.  The generator yields in
+ascending encoding order, so a scan keeps the first minimizer it meets.
+A scan over K workers splits the generator's subtrees at column n - 2
+round robin into K shards; the merge (minimum value, ties by least
+labeled encoding) covers the whole space and ignores order, and the
+least canonical minimizer lies in exactly one shard, so the records do
+not depend on K.
 Canonical forms, for local-search tie keys and canonical-mode verify,
 come from ``canonical``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -92,124 +94,74 @@ def _slots(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def _door_unrank(t: int, rank: int) -> list[int]:
-    """The t-subset of revolving-door rank ``rank``, ascending.
+def _least_adjs(n: int, m: int, part: int = 0, parts: int = 1) -> Iterator[tuple[list[int], list[int]]]:
+    """(rows, degrees) of the swap-least labeled (n, m)-graphs, for
+    0 <= m <= n(n-1)/2, in strictly ascending order of their column chunks.
 
-    The subsets whose largest element is x hold ranks C(x, t) to
-    C(x + 1, t) - 1, and their remaining (t - 1)-subsets run through that
-    block in reverse revolving-door order.
-    """
-    subset = []
-    while t:
-        x = t - 1
-        while math.comb(x + 1, t) <= rank:
-            x += 1
-        subset.append(x)
-        rank = math.comb(x, t - 1) - 1 - (rank - math.comb(x, t))
-        t -= 1
-    return subset[::-1]
+    A labeling is swap-least when no swap of two consecutive vertices j, j + 1
+    (1 <= j <= n - 2) lowers it.  Such a swap keeps the chunks before j and
+    makes vertex j + 1's bits to vertices 0..j-1 the j-th chunk; with column
+    chunks as in ``graph6._column_chunks`` (vertex 0 most significant), it
+    lowers the encoding exactly when chunk j exceeds chunk[j + 1] >> 1, chunk
+    j + 1 without its bit for vertex j.  So a depth-first search that places
+    column 1, then 2, up to n - 1, taking column j + 1's chunk from
+    [chunk[j] << 1, 2^(j+1)) in ascending order, makes exactly these
+    labelings and no other: the column view of Read's orderly generation
+    ("Every one a winner", 1978), with the swap rule as its only test.  A
+    chunk is taken only when the edges still to place fit in the later
+    columns.  Every least labeling is swap-least, so a scan that sees only
+    these still reaches the least labeling of every graph.
 
-
-def _labeled_adjs(
-    n: int, m: int, start: int = 0, stop: Optional[int] = None, least: bool = False
-) -> Iterator[tuple[list[int], list[int]]]:
-    """(rows, degrees) of the labeled (n, m)-graphs with ranks in [start, stop).
-
-    Ranks order the m-subsets of the edge slots (pairs (u, v) with u < v
-    in lexicographic order) in revolving-door order (Knuth, TAOCP 4A
-    7.2.1.3, Algorithm R): consecutive subsets differ by one slot out and
-    one slot in, so each step updates the rows and degrees in place.  The
-    same two lists are yielded every time; a caller that keeps a graph
-    copies it.  The full range holds every relabeling of every graph,
-    which is why the least labeled encoding among a scan's minimizers is
-    their least canonical form.
-
-    With ``least``, it yields only the swap-least labelings: those that no
-    swap of two consecutive vertices j, j + 1 (1 <= j <= n - 2) lowers.
-    Such a swap keeps the chunks before j and makes vertex j + 1's bits to
-    vertices 0..j-1 the j-th chunk; with column chunks as in
-    ``graph6._column_chunks`` (vertex 0 most significant), it lowers the
-    encoding exactly when chunk j exceeds chunk[j + 1] >> 1, chunk j + 1
-    without its bit for vertex j.  Every least labeling passes, so a scan
-    that sees only these still reaches the least labeling of every graph.
-    The test costs one addition per moved slot: ``fields`` packs
-    2^j + (chunk[j + 1] >> 1) - chunk[j] for 1 <= j <= n - 2 from bit
-    j(j+1)/2 - 1 up; each field lies in [1, 2^(j+1)), so none borrows from
-    the next, and its top bit, in ``guard``, is set exactly when swap j
-    passes.  Slot (u, v) is bit v - 1 - u of chunk v: its ``weight`` moves
-    field v and field v - 1.
+    The search is sharded by its subtrees at column n - 2: shard ``part`` of
+    ``parts`` holds those whose index in search order is ``part`` modulo
+    ``parts``; below n = 3 there is one subtree, in shard 0.  The same two
+    lists are yielded every time; a caller that keeps a graph copies it.
     """
     nslots = n * (n - 1) // 2
-    total = math.comb(nslots, m)
-    stop = total if stop is None else min(stop, total)
-    if start >= stop:
-        return
-
-    def field_bit(j: int, p: int) -> int:  # bit p of field j
-        return 1 << j * (j + 1) // 2 - 1 + p
-
-    def weight(u: int, v: int) -> int:
-        w = field_bit(v - 1, v - 2 - u) if u < v - 1 else 0  # in chunk v >> 1
-        if v <= n - 2:
-            w -= field_bit(v, v - 1 - u)  # in chunk v
-        return w
-
-    fields = sum(field_bit(j, j) for j in range(1, n - 1))  # the empty graph passes every swap
-    guard = fields if least else 0
-    slots = [(u, v, 1 << u, 1 << v, weight(u, v)) for u, v in _slots(n)]
-    c = [-1, *_door_unrank(m, start), nslots]  # c[1..m], c[m + 1] = N as in Algorithm R
+    columns = []  # column j's chunks, ascending: (chunk, edges, row of j below j, those vertices)
+    for j in range(n):
+        column = []
+        for c in range(1 << j):
+            below = [j - 1 - b for b in range(j) if c >> b & 1]  # bit b is the pair (j - 1 - b, j)
+            column.append((c, len(below), sum(1 << i for i in below), below))
+        columns.append(column)
+    room = [nslots - j * (j + 1) // 2 for j in range(n)]  # edge slots in the columns after j
     rows = [0] * n
     degs = [0] * n
-    for x in c[1:-1]:
-        u, v, bu, bv, w = slots[x]
-        rows[u] |= bv
-        rows[v] |= bu
-        degs[u] += 1
-        degs[v] += 1
-        fields += w
-    if fields & guard == guard:
-        yield rows, degs
-    easy = 1 if m & 1 else -1
-    for _ in range(stop - start - 1):
-        out = c[1]
-        into = out + easy
-        if 0 <= into < c[2]:  # R3, the easy case: c[1] moves up for odd m, down for even
-            c[1] = into
-        else:
-            j = 2
-            while True:
-                if (j + m) & 1:  # R4, try to decrease c[j]; here c[j] = c[j-1] + 1
-                    if c[j] >= j:
-                        out, into = c[j], j - 2
-                        c[j], c[j - 1] = c[j - 1], into
-                        break
-                elif c[j] + 1 < c[j + 1]:  # R5, try to increase c[j]; here c[j-1] = j - 2
-                    out, into = j - 2, c[j] + 1
-                    c[j - 1], c[j] = c[j], into
-                    break
-                j += 1
-        u, v, bu, bv, w = slots[out]
-        rows[u] ^= bv
-        rows[v] ^= bu
-        degs[u] -= 1
-        degs[v] -= 1
-        fields -= w
-        u, v, bu, bv, w = slots[into]
-        rows[u] ^= bv
-        rows[v] ^= bu
-        degs[u] += 1
-        degs[v] += 1
-        fields += w
-        if fields & guard == guard:
+    index = -1  # subtrees at column n - 2 met so far
+
+    def place(j: int, lo: int, left: int):  # columns 1..j-1 placed, ``left`` edges to go
+        nonlocal index
+        if j >= n:
             yield rows, degs
+            return
+        bit = 1 << j
+        for c, k, row, below in columns[j][lo:]:
+            if k > left or left - k > room[j]:
+                continue
+            if j == n - 2:
+                index += 1
+                if index % parts != part:
+                    continue
+            rows[j] = row
+            degs[j] = k
+            for i in below:
+                rows[i] |= bit
+                degs[i] += 1
+            yield from place(j + 1, c << 1, left - k)
+            for i in below:
+                rows[i] ^= bit
+                degs[i] -= 1
+
+    if n > 2 or part == 0:
+        yield from place(1, 0, m)
 
 
 def enumerate_graphs(n: int, m: int) -> Iterator[Graph]:
     """Every labeled graph on n vertices with exactly m edges, each once.
 
     Iterates m-subsets of the edge slots (pairs (u, v) with u < v in
-    lexicographic order) in revolving-door order, so consecutive graphs
-    differ by one edge removed and one edge added.
+    lexicographic order) in lexicographic order.
     """
     _check_vertex_count(
         n, CANONICAL_MAX_N,
@@ -218,40 +170,35 @@ def enumerate_graphs(n: int, m: int) -> Iterator[Graph]:
     nslots = n * (n - 1) // 2
     if m < 0 or m > nslots:
         raise ValueError(f"edge count {m} outside 0..{nslots}")
-    for rows, _ in _labeled_adjs(n, m):
-        yield Graph._raw(n, tuple(rows))
+    for pairs in itertools.combinations(_slots(n), m):
+        yield from_edges(n, pairs)
 
 
 # ---------------------------------------------------------------------------
 # exhaustive minimum
 
 
-def _min_scan_range(args) -> tuple[Optional[int], Optional[tuple[int, ...]], int]:
-    """Partial minimum over one contiguous range of revolving-door ranks.
+def _min_scan_range(args) -> tuple[Optional[int], Optional[tuple[int, ...]]]:
+    """Partial minimum over one shard of the swap-least labelings.
 
-    Returns (min value, labeled chunks of the tie-least minimizer,
-    graphs examined); the value is None when no labeling in the range is
-    swap-least.  The chunks are this range's least swap-least encoding;
-    only the merge over the whole space is canonical.  graphs_examined
-    counts every labeling in the range, tested or kept.  Top-level so it
-    can run in worker processes.
+    ``args`` is (n, m, r, part, parts), the shard as in ``_least_adjs``.
+    Returns (min value, labeled chunks of the tie-least minimizer), or
+    (None, None) when the shard holds no labeling.  The labelings come in
+    ascending encoding order, so the first minimizer met is the shard's
+    least, and the kernel aborts on every graph that cannot beat the best
+    so far.  The chunks are this shard's least swap-least encoding; only
+    the merge over all shards is canonical.  Top-level so it can run in
+    worker processes.
     """
-    n, m, r, start, count = args
+    n, m, r, part, parts = args
     best_val: Optional[int] = None
     best_chunks: Optional[tuple[int, ...]] = None
-    for adj, degs in _labeled_adjs(n, m, start, start + count, least=True):
-        val = max_degree_sum_value(adj, degs, r, abort_above=best_val)
-        if val is None:
-            continue
-        chunks = _column_chunks(adj, n)
-        if best_val is None or (val, chunks) < (best_val, best_chunks):
-            best_val, best_chunks = val, chunks
-    return best_val, best_chunks, count
-
-
-def _shard_bounds(total: int, workers: int) -> list[tuple[int, int]]:
-    bounds = [total * k // workers for k in range(workers + 1)]
-    return [(bounds[k], bounds[k + 1] - bounds[k]) for k in range(workers)]
+    for adj, degs in _least_adjs(n, m, part, parts):
+        val = max_degree_sum_value(adj, degs, r, abort_above=None if best_val is None else best_val - 1)
+        # a graph with no r-clique gives 0 without an abort, even when best_val is 0
+        if val is not None and (best_val is None or val < best_val):
+            best_val, best_chunks = val, _column_chunks(adj, n)
+    return best_val, best_chunks
 
 
 def _regime(m: int, r: int, n: int) -> str:
@@ -338,18 +285,17 @@ def extremal_degree_sum_min(
     _check_cells(n, r, (m,), mode, EXACT_MODES, workers=workers, max_graphs=max_graphs)
     total = math.comb(n * (n - 1) // 2, m)
     if workers == 1 or total < 2 * workers:
-        parts = [_min_scan_range((n, m, r, 0, total))]
+        parts = [_min_scan_range((n, m, r, 0, 1))]
     else:
         # imported here: loading multiprocessing adds about 1.5 MB to the
         # resident size of every process, and single-worker scans never need it
         from concurrent.futures import ProcessPoolExecutor
 
-        jobs = [(n, m, r, lo, cnt) for lo, cnt in _shard_bounds(total, workers)]
+        jobs = [(n, m, r, part, workers) for part in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_min_scan_range, jobs))
-    examined = sum(p[2] for p in parts)
-    value, chunks, _ = min(p for p in parts if p[0] is not None)
-    return _make_record(n, m, r, mode, value, chunks, examined)
+    value, chunks = min(p for p in parts if p[0] is not None)
+    return _make_record(n, m, r, mode, value, chunks, total)
 
 
 # ---------------------------------------------------------------------------
@@ -753,13 +699,14 @@ def verify_all(
     """Run both greedy checks on every graph in range and the two-sided bound
     on every exact minimum; every greedy violation is carried as graph6.
 
-    The graphs are the swap-least labelings of the scans' walk; canonical
-    mode keeps only those whose labeled encoding is their canonical form,
-    one per isomorphism class.  The greedy checks read isomorphism
-    invariants alone (the shortest stop, the least and greatest first-r
-    sums over all tie branches, regularity), and the least labeling of
-    every graph is swap-least, so every graph that fails a check is
-    reported: once per swap-least labeling in exhaustive mode.  Each cell's
+    The graphs are the swap-least labelings of ``_least_adjs``, the scans'
+    generator, in ascending encoding order; canonical mode keeps only those
+    whose labeled encoding is their canonical form, one per isomorphism
+    class.  The greedy checks read isomorphism invariants alone (the
+    shortest stop, the least and greatest first-r sums over all tie
+    branches, regularity), and the least labeling of every graph is
+    swap-least, so every graph that fails a check is reported: once per
+    swap-least labeling in exhaustive mode.  Each cell's
     minimum is the scans' own, from ``_min_scan_range``.  graphs_examined
     counts (graph, r) incidences, each graph once per clique size it is
     checked against: the C(N, m) labeled graphs of a cell, counted as the
@@ -808,7 +755,7 @@ def verify_all(
             active = [r for r in rs if thresholds[r] <= m]
             total = math.comb(n * (n - 1) // 2, m)
             kept = 0
-            for adj, degs in _labeled_adjs(n, m, least=True):
+            for adj, degs in _least_adjs(n, m):
                 if mode == "canonical" and _canonical_chunks(adj, n) != _column_chunks(adj, n):
                     continue  # not the representative of its isomorphism class
                 kept += 1
@@ -825,7 +772,7 @@ def verify_all(
             graphs_examined += (total if mode == "exhaustive" else kept) * len(active)
             for r in active:
                 cells += 1
-                problem = _band_failure(n, m, r, _min_scan_range((n, m, r, 0, total))[0])
+                problem = _band_failure(n, m, r, _min_scan_range((n, m, r, 0, 1))[0])
                 if problem:
                     found(n, m, r, "band", problem, "")
     return VerifyReport(

@@ -68,26 +68,17 @@ def _edge_set(rows):
 
 
 def test_labeled_walk_matches_combinations_oracle():
-    from cliquedeg.extremal import _labeled_adjs
-
+    """enumerate_graphs yields every m-subset of the edge slots once, in the
+    order of itertools.combinations, with its degrees."""
     for n in range(6):
         slots = slot_pairs(n)
         for m in range(len(slots) + 1):
-            expected = {frozenset(c) for c in itertools.combinations(slots, m)}
-            walk = []
-            for rows, degs in _labeled_adjs(n, m):
-                assert degs == [row.bit_count() for row in rows], (n, m)
-                walk.append(_edge_set(rows))
-            assert len(walk) == len(expected) == math.comb(len(slots), m)
-            assert set(walk) == expected, (n, m)
-            for prev, cur in zip(walk, walk[1:]):
-                # revolving door: one edge out, one edge in
-                assert len(prev - cur) == 1 == len(cur - prev), (n, m)
-            if n == 4:
-                for start in range(len(walk) + 1):
-                    for stop in range(start, len(walk) + 1):
-                        part = [_edge_set(rows) for rows, _ in _labeled_adjs(n, m, start, stop)]
-                        assert part == walk[start:stop], (m, start, stop)
+            expected = list(itertools.combinations(slots, m))
+            graphs = list(enumerate_graphs(n, m))
+            assert [tuple(g.edges()) for g in graphs] == expected, (n, m)
+            for g, pairs in zip(graphs, expected):
+                assert g.m == m
+                assert g.degrees() == tuple(sum(v in p for p in pairs) for v in range(n)), pairs
 
 
 def _pairs(rows):
@@ -95,20 +86,24 @@ def _pairs(rows):
 
 
 def test_least_walk_yields_exactly_the_swap_least_labelings():
-    from cliquedeg.extremal import _labeled_adjs
+    """The generator yields exactly the labelings of itertools.combinations
+    that the naive swap rule keeps, each once, with its degrees, in strictly
+    ascending order of the column-order bitstring."""
+    from cliquedeg.extremal import _least_adjs
 
     cells = [(n, m) for n in range(7) for m in range(math.comb(n, 2) + 1)]
     cells += [(7, 3), (7, 4), (7, 18)]
     for n, m in cells:
-        walk = [list(rows) for rows, _ in _labeled_adjs(n, m)]
-        swap_least = [rows for rows in walk if naive_swap_least(n, _pairs(rows))]
-        least = [list(rows) for rows, _ in _labeled_adjs(n, m, least=True)]
+        swap_least = sorted(
+            naive_bitstring(n, pairs)
+            for pairs in itertools.combinations(slot_pairs(n), m)
+            if naive_swap_least(n, pairs)
+        )
+        least = []
+        for rows, degs in _least_adjs(n, m):
+            assert degs == [row.bit_count() for row in rows], (n, m)
+            least.append(naive_bitstring(n, _pairs(rows)))
         assert least == swap_least, (n, m)
-        if n == 6 and m in (5, 9):
-            total = len(walk)
-            for start, stop in ((1, total), (total // 3, 2 * total // 3), (total - 1, total)):
-                part = [list(rows) for rows, _ in _labeled_adjs(n, m, start, stop, least=True)]
-                assert part == [rows for rows in walk[start:stop] if rows in swap_least]
 
 
 def test_canonical_invariance_under_relabeling():
@@ -193,17 +188,17 @@ def test_canonical_search_matches_permutation_oracle():
 
 
 def test_swap_test_keeps_every_least_labeling():
-    """The swap-least walk keeps exactly the labelings that no swap of two
+    """The swap-least generator keeps exactly the labelings that no swap of two
     consecutive vertices j, j + 1 (j >= 1) with different neighbours below j
     lowers, and so every least labeling: every labeled graph with n <= 5, then
     the least labeling of every class at n = 6."""
-    from cliquedeg.extremal import _labeled_adjs
+    from cliquedeg.extremal import _least_adjs
 
-    def kept(n):  # the bitstrings of the labelings the walk yields
+    def kept(n):  # the bitstrings of the labelings the generator yields
         return {
             naive_bitstring(n, _pairs(rows))
             for m in range(math.comb(n, 2) + 1)
-            for rows, _ in _labeled_adjs(n, m, least=True)
+            for rows, _ in _least_adjs(n, m)
         }
 
     try:
@@ -342,27 +337,26 @@ def test_sharded_scan_identical_to_single_worker():
 
 
 def test_arbitrary_shard_partitions_merge_identically():
-    from cliquedeg.extremal import _min_scan_range
+    """For every shard count, the shards are disjoint and together hold every
+    swap-least labeling, and their merged minimum is the one-shard minimum;
+    an empty shard's value is None."""
+    from cliquedeg.extremal import _least_adjs, _min_scan_range
 
-    def merged(n, m, r, cuts):
-        parts = [_min_scan_range((n, m, r, lo, hi - lo)) for lo, hi in zip(cuts, cuts[1:])]
-        assert sum(p[2] for p in parts) == cuts[-1]
-        return min((p[0], p[1]) for p in parts if p[0] is not None)
-
-    for r in (2, 3):
-        n, m = 6, 9
-        total = math.comb(15, 9)
-        whole = _min_scan_range((n, m, r, 0, total))
-        assert whole[2] == total
-        for cuts in ([0, 1, total], [0, total // 3, total // 3 + 7, total]):
-            assert merged(n, m, r, cuts) == whole[:2], (r, cuts)
-        # every rank of a small cell as a cut, alone and all at once
-        n, m = 5, 5
-        total = math.comb(10, 5)
-        whole = _min_scan_range((n, m, r, 0, total))
-        for cut in range(total + 1):
-            assert merged(n, m, r, [0, cut, total]) == whole[:2], (r, cut)
-        assert merged(n, m, r, list(range(total + 1))) == whole[:2]
+    empty = 0
+    # (4, 1) and (6, 14) have fewer subtrees at column n - 2 than some shard counts
+    for n, m in ((5, 5), (6, 9), (4, 1), (6, 14)):
+        whole = [tuple(rows) for rows, _ in _least_adjs(n, m)]
+        for parts in range(1, 7):
+            shards = [[tuple(rows) for rows, _ in _least_adjs(n, m, part, parts)] for part in range(parts)]
+            assert sorted(sum(shards, [])) == sorted(whole), (n, m, parts)
+            for r in (2, 3):
+                one = _min_scan_range((n, m, r, 0, 1))
+                results = [_min_scan_range((n, m, r, part, parts)) for part in range(parts)]
+                for shard, result in zip(shards, results):
+                    assert (result == (None, None)) == (not shard), (n, m, parts)
+                    empty += not shard
+                assert min(p for p in results if p[0] is not None) == one, (n, m, r, parts)
+    assert empty
 
 
 # scan_m CSV written by the lexicographic scan; the walk order must change no value or witness
@@ -752,7 +746,7 @@ def test_verify_rejects_a_plan_with_no_cell(n_max, r_set, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("verify worked on a plan with no cell")
 
-    monkeypatch.setattr(ext, "_labeled_adjs", fail)
+    monkeypatch.setattr(ext, "_least_adjs", fail)
     with pytest.raises(ValueError, match="no cell"):
         verify_all(n_max, r_set)
 
