@@ -14,7 +14,7 @@ from .graphs import VERTEX_CAP, Graph, ResourceLimitError, _check_vertex_count
 CANONICAL_MAX_N = 8
 
 
-def _canonical_chunks(adj, n: int) -> tuple[int, ...]:
+def _canonical_chunks(adj, n: int, below: tuple[int, ...] | None = None) -> tuple[int, ...] | None:
     """Least column-order upper-triangle encoding over all vertex orders.
 
     The encoding is one integer "chunk" per position j >= 1 holding the
@@ -28,8 +28,14 @@ def _canonical_chunks(adj, n: int) -> tuple[int, ...]:
     have the same neighbours apart from each other, swapping them is an
     automorphism that fixes the prefix, so their subtrees hold the same
     encodings and only the first one tried is searched.
+
+    With ``below``, an encoding of the same length, the search starts tight
+    at it, as if it were the best known, and returns None when no encoding
+    lies strictly below it.  A caller that only asks whether a graph's
+    encoding beats a known one so skips every subtree above that one.
     """
-    best: tuple[int, ...] = ()  # with a leading 0, the first vertex's empty chunk
+    # with a leading 0, the first vertex's empty chunk
+    best: tuple[int, ...] = () if below is None else (0, *below)
     twins = [
         sum(1 << t for t in range(n) if (adj[w] ^ adj[t]) & ~(1 << w | 1 << t) == 0) & ~(1 << w)
         for w in range(n)
@@ -64,7 +70,8 @@ def _canonical_chunks(adj, n: int) -> tuple[int, ...]:
             chunks.pop()
         return improved_here
 
-    rec([(0, w) for w in range(n)], [], False)
+    if not rec([(0, w) for w in range(n)], [], below is not None):
+        return None  # only reachable with a bound: an unbounded search always improves
     return best[1:]
 
 

@@ -64,6 +64,7 @@ def _best_clique(
     degs: tuple[int, ...] | list[int],
     r: int,
     abort_above: int | None = None,
+    within: int | None = None,
 ) -> tuple[int, int] | None:
     """Kernel: the maximum degree sum over r-cliques and the lex-least clique attaining it.
 
@@ -79,18 +80,28 @@ def _best_clique(
     it comes later in lex order, so it could not replace it; a clique above
     ``abort_above`` beats ``best`` and is never dropped, so the abort stays
     exact.
+
+    ``within``, a vertex bitmask, keeps the search to the cliques inside it:
+    the walk and the r = 2 loop start from it instead of the full vertex
+    set, so the result is that of the subgraph induced by ``within``, with
+    its vertex numbers and with the degrees ``degs``, and no masked rows are
+    built.
     """
     n = len(adj)
     limit = abort_above if abort_above is not None else sum(degs)  # no clique exceeds it
     best = -1
     best_bits = 0
+    cands = (1 << n) - 1 if within is None else within
     if r == 2:
         # pairs come in lexicographic order, so the first maximum is lex-least; this
         # loop stays because taking pairs through the walk below doubled the kernel
         # time of exact-scan's slowest cell, (n, m, r) = (7, 12, 2) (+110 to +130%)
-        for u in range(n):
+        while cands:
+            a = cands & -cands
+            cands ^= a  # now the candidates above u
+            u = a.bit_length() - 1
             du = degs[u]
-            w = adj[u] >> (u + 1) << (u + 1)
+            w = adj[u] & cands
             while w:
                 b = w & -w
                 w ^= b
@@ -99,10 +110,10 @@ def _best_clique(
                     if s > limit:
                         return None
                     best = s
-                    best_bits = 1 << u | b
+                    best_bits = a | b
     else:
         top = max(degs, default=0)
-        stack = [(0, 0, r, (1 << n) - 1)]  # (degree sum, members, still needed, candidates)
+        stack = [(0, 0, r, cands)]  # (degree sum, members, still needed, candidates)
         while stack:
             acc, members, need, w = stack.pop()
             if need == 1:
@@ -146,12 +157,15 @@ def max_degree_sum_value(
     degs: tuple[int, ...] | list[int],
     r: int,
     abort_above: int | None = None,
+    within: int | None = None,
 ) -> int | None:
     """The value of max_clique_degree_sum on raw adjacency rows.
 
     Returns None as soon as some r-clique's degree sum exceeds
     ``abort_above`` (callers scanning for minima over many graphs use
     this to skip graphs that cannot matter).  0 when no r-clique exists.
+    ``within`` keeps the search to the r-cliques inside that vertex
+    bitmask (see ``_best_clique``).
     """
-    found = _best_clique(adj, degs, r, abort_above)
+    found = _best_clique(adj, degs, r, abort_above, within)
     return None if found is None else found[0]

@@ -347,11 +347,16 @@ def near_regular_graph(n: int, m: int) -> Graph:
 # local search
 
 
-def _graph_key(adj, n: int):
-    """Deterministic tie key: canonical chunks where feasible, else the labeled encoding."""
+def _graph_key(adj, n: int, below=None):
+    """Deterministic tie key: canonical chunks where feasible, else the labeled encoding.
+
+    With ``below``, another graph's key, returns None unless the key lies
+    strictly below it, and the canonical search prunes every prefix above it.
+    """
     if n <= CANONICAL_MAX_N:
-        return _canonical_chunks(adj, n)
-    return tuple(adj)
+        return _canonical_chunks(adj, n, below)
+    key = tuple(adj)
+    return key if below is None or key < below else None
 
 
 def _best_swap(cur: list[int], n: int, r: int):
@@ -370,9 +375,25 @@ def _best_swap(cur: list[int], n: int, r: int):
     cannot hold both), and creates the cliques through (hu, hv), whose best
     sum is d'(hu) + d'(hv) plus the best (r-2)-clique of their common
     neighbourhood, d' being the degrees after the swap.
+
+    The cliques are numbered once per call, and two tables of bitmasks over
+    those numbers stand in for the clique list: ``inc[x]``, the cliques
+    holding vertex x, and ``level[s]``, the cliques of sum s.  Per removed
+    edge, the kept cliques that hold neither end keep their sum and those
+    that hold one end lose one, so the best kept sum is the highest s with a
+    clique in ``level[s] & neither`` or ``level[s + 1] & one``.
     """
     degs = list(map(int.bit_count, cur))
-    cliques = sorted(_clique_sums(cur, degs, r), reverse=True)
+    cliques = list(_clique_sums(cur, degs, r))
+    inc = [0] * n
+    level = [0] * (max((s for s, _ in cliques), default=-1) + 2)
+    for i, (s, bits) in enumerate(cliques):
+        level[s] |= 1 << i
+        while bits:
+            b = bits & -bits
+            bits ^= b
+            inc[b.bit_length() - 1] |= 1 << i
+    every = (1 << len(cliques)) - 1
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if cur[u] >> v & 1]
     holes = [(u, v) for u in range(n) for v in range(u + 1, n) if not cur[u] >> v & 1]
     rows = list(cur)  # cur with the removed edge taken out; degs follow it
@@ -380,21 +401,16 @@ def _best_swap(cur: list[int], n: int, r: int):
     nb_key = None
     nb_adj = None
     for eu, ev in edges:
-        # the best kept sum, and the union of the kept cliques attaining it
-        kept_best, kept_top = 0, 0
-        for s, bits in cliques:
-            if s < kept_best:
-                break  # every later sum, adjusted or not, is lower still
-            held = (bits >> eu & 1) + (bits >> ev & 1)
-            if held == 2:
-                continue
-            s -= held
-            if s > kept_best:
-                kept_best, kept_top = s, bits
-            elif s == kept_best:
-                kept_top |= bits
+        # the best kept sum, the kept cliques attaining it, and the union of their vertices
+        one = inc[eu] ^ inc[ev]
+        neither = every ^ (inc[eu] | inc[ev])
+        kept_best, kept = len(level) - 1, 0
+        while not kept and kept_best:
+            kept_best -= 1
+            kept = level[kept_best] & neither | level[kept_best + 1] & one
         if nb_val is not None and kept_best > nb_val:
             continue  # every swap removing this edge is worse
+        kept_top = sum(1 << x for x in range(n) if inc[x] & kept)
         rows[eu] ^= 1 << ev
         rows[ev] ^= 1 << eu
         degs[eu] -= 1
@@ -420,11 +436,8 @@ def _best_swap(cur: list[int], n: int, r: int):
                     if r <= 3:  # at most one vertex besides the ends: the bound is attained
                         val = bound
                     else:
-                        # emptied rows outside the common neighbourhood keep every
-                        # clique of two or more vertices inside it
-                        sub = [a & common if common >> x & 1 else 0 for x, a in enumerate(rows)]
                         limit = None if nb_val is None else nb_val - ends
-                        inner = max_degree_sum_value(sub, degs, r - 2, abort_above=limit)
+                        inner = max_degree_sum_value(rows, degs, r - 2, abort_above=limit, within=common)
                         if inner is None:
                             continue
                         if inner:  # 0: the common neighbourhood holds no (r-2)-clique
@@ -437,8 +450,8 @@ def _best_swap(cur: list[int], n: int, r: int):
             if nb_val is None or val < nb_val:
                 nb_val, nb_key, nb_adj = val, _graph_key(cand, n), cand
             else:
-                key = _graph_key(cand, n)
-                if key < nb_key:
+                key = _graph_key(cand, n, below=nb_key)
+                if key is not None:
                     nb_key, nb_adj = key, cand
         rows[eu] |= 1 << ev
         rows[ev] |= 1 << eu

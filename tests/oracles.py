@@ -237,3 +237,24 @@ def naive_local_search(n, m, r, seed, restarts, iter_budget, start):
     else:
         witness = [tuple(sorted(e)) for e in graph]
     return low, naive_graph6(n, witness), examined
+
+
+def naive_best_swap(n, edges, r):
+    """The least (value, rows) over every graph one edge swap away from the
+    graph with ``edges``: remove one edge, add one non-edge, re-evaluate the
+    swapped graph from scratch.  rows is the tuple of adjacency row bitmasks,
+    vertex u's row holding bit v for each neighbour v.  None when the graph
+    has no edge or no non-edge."""
+    have = {frozenset(e) for e in edges}
+    slots = [frozenset(p) for p in itertools.combinations(range(n), 2)]
+    best = None
+    for e in (s for s in slots if s in have):
+        for h in (s for s in slots if s not in have):
+            swapped = (have - {e}) | {h}
+            value = naive_max_clique_degree_sum(n, [tuple(p) for p in swapped], r)
+            rows = tuple(
+                sum(1 << v for v in range(n) if frozenset((u, v)) in swapped) for u in range(n)
+            )
+            if best is None or (value, rows) < best:
+                best = (value, rows)
+    return best

@@ -177,6 +177,41 @@ def test_fast_kernel_agrees_and_aborts_correctly():
                 assert got == value
 
 
+def test_within_mask_matches_the_kernel_on_masked_rows():
+    """``within`` gives what the kernel gives on rows masked to it (r >= 2), and
+    what the oracle gives on the induced subgraph with the whole graph's degrees
+    (every r), the abort included; ``within=None`` is the unmasked search."""
+    from cliquedeg.cliques import _best_clique, max_degree_sum_value
+
+    rng = random.Random(1217)
+    for _ in range(150):
+        n = rng.randint(0, 12)
+        edges = [p for p in slot_pairs(n) if rng.random() < rng.uniform(0.3, 0.9)]
+        g = from_edges(n, edges)
+        degs = g.degrees()
+        deg = naive_degrees(n, edges)
+        mask = rng.getrandbits(n)
+        inside = [(u, v) for u, v in edges if mask >> u & mask >> v & 1]
+        masked = [a & mask if mask >> x & 1 else 0 for x, a in enumerate(g.adj)]
+        for r in range(1, 6):
+            cliques = [c for c in naive_r_cliques(n, inside, r) if all(mask >> v & 1 for v in c)]
+            value = max((sum(deg[v] for v in c) for c in cliques), default=0)
+            first = next((c for c in cliques if sum(deg[v] for v in c) == value), ())
+            found = _best_clique(g.adj, degs, r, within=mask)
+            assert found == (value, sum(1 << v for v in first)), (n, edges, mask, r)
+            if r >= 2:
+                assert found == _best_clique(masked, degs, r)
+            assert _best_clique(g.adj, degs, r, within=(1 << n) - 1) == _best_clique(g.adj, degs, r)
+            for cutoff in (None, value - 1, value, value + 1, rng.randint(0, max(value, 1))):
+                got = max_degree_sum_value(g.adj, degs, r, abort_above=cutoff, within=mask)
+                if r >= 2:
+                    assert got == max_degree_sum_value(masked, degs, r, abort_above=cutoff)
+                if cutoff is not None and cliques and value > cutoff:
+                    assert got is None
+                else:
+                    assert got == value
+
+
 def _kernel_cases():
     """(n, edges, clique sizes): small tie-heavy graphs at every r = 1..n+1, then
     dense random graphs and larger regular and vertex-transitive graphs, on which

@@ -22,11 +22,12 @@ from cliquedeg import (
     verify_all,
     StabilityParams,
 )
-from cliquedeg.canonical import graph_from_triangle_bits
+from cliquedeg.canonical import _canonical_chunks, graph_from_triangle_bits
 from cliquedeg.extremal import (
     MAX_RESTARTS,
     MAX_WORKERS,
     _band_failure,
+    _best_swap,
     records_to_csv,
     stability_report_to_csv,
 )
@@ -36,6 +37,7 @@ from conftest import circulant, slot_pairs
 from oracles import (
     _least_bitstring,
     _pair_weights,
+    naive_best_swap,
     naive_bitstring,
     naive_isomorphism_classes,
     naive_least_minimizer_g6,
@@ -183,6 +185,36 @@ def test_canonical_search_matches_permutation_oracle():
             assert canonical_form(from_edges(n, pairs)) == _least_bitstring(n, pairs)
     finally:
         # the n = 8 permutation table is large; do not keep it for later tests
+        _least_bitstring.cache_clear()
+        _pair_weights.cache_clear()
+
+
+def test_bounded_canonical_search_matches_permutation_oracle():
+    """With a bound, the canonical search returns the least encoding exactly
+    when it lies strictly below the bound, and None otherwise: every labeled
+    graph with n <= 5, and two labelings of every class at n = 6, against the
+    least encoding itself, the graph's own labeled encoding, and the least one
+    nudged one step up and one step down."""
+
+    def chunks(n, bits):  # column j's bits, vertex 0 first, as one integer per column
+        return tuple(int(bits[j * (j - 1) // 2 : j * (j + 1) // 2], 2) for j in range(1, n))
+
+    try:
+        for n in range(7):
+            for orbit in naive_isomorphism_classes(n):
+                least = chunks(n, _least_bitstring(n, orbit[0]))
+                bounds = [least]
+                if n > 1:
+                    bounds.append(least[:-1] + (least[-1] + 1,))
+                    lower = next((j for j, c in enumerate(least) if c), None)
+                    if lower is not None:
+                        bounds.append(least[:lower] + (least[lower] - 1,) + least[lower + 1 :])
+                for edges in orbit if n < 6 else (orbit[0], orbit[len(orbit) // 2]):
+                    adj = from_edges(n, edges).adj
+                    for below in bounds + [chunks(n, naive_bitstring(n, edges))]:
+                        want = least if least < below else None
+                        assert _canonical_chunks(adj, n, below) == want, (n, edges, below)
+    finally:
         _least_bitstring.cache_clear()
         _pair_weights.cache_clear()
 
@@ -623,6 +655,43 @@ def test_local_search_matches_naive_oracle():
             n, m, r, seed=seed, restarts=restarts, iter_budget=budget
         )
         assert (rec.delta_min, rec.witness_g6, rec.graphs_examined) == want, (n, m, r, restarts)
+
+
+def test_best_swap_matches_brute_force_past_canonical_range():
+    """The incremental swap scores pick the swap a full re-evaluation of every
+    swapped graph picks, at n = 9..12 where ties go to the labeled key: random,
+    near-regular and Turán graphs at r = 1..5, and graphs with no r-clique.
+    The oracle re-evaluates about a thousand graphs per case, so n = 11, 12
+    take alternate values of r."""
+    rng = random.Random(1709)
+    cases = []
+    for n in range(9, 13):
+        for r in range(1, 6):
+            if n > 10 and (n + r) % 2:
+                continue
+            kind = (n + r) % 3
+            if kind == 0:
+                edges = [p for p in slot_pairs(n) if rng.random() < rng.uniform(0.3, 0.7)]
+            elif kind == 1:
+                edges = list(near_regular_graph(n, rng.randint(n, n * (n - 1) // 2 - n)).edges())
+            else:
+                k = rng.randint(2, 5)
+                edges = [(u, v) for u, v in slot_pairs(n) if u % k != v % k]
+            cases.append((n, edges, r))
+    for n in (9, 10):  # no r-clique: Turán graphs with r - 1 parts, and a cycle
+        cases.append((n, [(u, v) for u, v in slot_pairs(n) if u % 3 != v % 3], 4))
+        cases.append((n, [(u, v) for u, v in slot_pairs(n) if u % 2 != v % 2], 3))
+        cases.append((n, circulant(n, (1,)), 3))
+    cases += [(9, [], 2), (10, slot_pairs(10), 3)]  # no edge, no non-edge
+    for n, edges, r in cases:
+        g = from_edges(n, edges)
+        val, key, adj = _best_swap(list(g.adj), n, r)
+        want = naive_best_swap(n, edges, r)
+        if want is None:
+            assert (val, key, adj) == (None, None, None)
+        else:
+            assert (val, key) == want, (n, sorted(edges), r)
+            assert tuple(adj) == key
 
 
 def test_local_search_reaches_known_minima():
