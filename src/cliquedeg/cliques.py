@@ -93,9 +93,10 @@ def _best_clique(
     best_bits = 0
     cands = (1 << n) - 1 if within is None else within
     if r == 2:
-        # pairs come in lexicographic order, so the first maximum is lex-least; this
-        # loop stays because taking pairs through the walk below doubled the kernel
-        # time of exact-scan's slowest cell, (n, m, r) = (7, 12, 2) (+110 to +130%)
+        # pairs come in lexicographic order, so the first maximum is lex-least.  The walk
+        # below gives the same results, but on local search's r - 2 = 2 calls and the
+        # n <= 8 scans, which take most pairs, it raised local-search query_p50_ms 19-56%
+        # and exact-scan job_s 1-6%; it was faster only on whole graphs of 8-40 vertices
         while cands:
             a = cands & -cands
             cands ^= a  # now the candidates above u

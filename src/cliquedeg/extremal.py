@@ -1,9 +1,9 @@
 """Minimum over all (n, m)-graphs of the max clique degree sum, by brute force.
 
-The exact modes search every labeled graph with m edges: exhaustive
-mode up to n = 7, canonical mode the same scan with the cap raised to
-n = 8.  Both report graphs_examined = C(N, m), the labeled graphs
-covered, for N = n(n-1)/2 edge slots.  Local-search mode runs
+The exact modes, exhaustive and canonical, run the same scan of every
+labeled graph with m edges, and they and ``verify_all`` share one cap,
+n <= ``CANONICAL_MAX_N`` = 8.  Both report graphs_examined = C(N, m), the
+labeled graphs covered, for N = n(n-1)/2 edge slots.  Local-search mode runs
 steepest-descent edge swaps and reports an upper bound.
 
 The minimum and both greedy bounds depend on the graph alone, not on its
@@ -49,22 +49,13 @@ from .graphs import VERTEX_CAP, Graph, ResourceLimitError, _check_vertex_count, 
 from .greedy import _floor_failure, _mean_failure, greedy_prefix_extremes
 from .turan import turan_size
 
-EXHAUSTIVE_MAX_N = 7
 MAX_WORKERS = 8  # worker processes one exact scan may start
 MAX_RESTARTS = 10_000  # random starts one local search may take
 
 LOCAL_SEARCH = "local-search"
-# mode -> vertex cap, error above it (None: the builders' error); all but local search are exact
-MODES = {
-    "exhaustive": (
-        EXHAUSTIVE_MAX_N,
-        f"exhaustive mode capped at n={EXHAUSTIVE_MAX_N}; "
-        f"use canonical (n={CANONICAL_MAX_N}) or local-search modes",
-    ),
-    "canonical": (CANONICAL_MAX_N, f"canonical mode capped at n={CANONICAL_MAX_N}; use local-search"),
-    LOCAL_SEARCH: (VERTEX_CAP, None),
-}
-EXACT_MODES = tuple(mode for mode in MODES if mode != LOCAL_SEARCH)
+# all but local search are exact, and every exact path stops at CANONICAL_MAX_N vertices
+MODES = ("exhaustive", "canonical", LOCAL_SEARCH)
+EXACT_MODES = MODES[:2]
 
 REGIME_BELOW = "below-threshold"
 REGIME_AT = "at-threshold"
@@ -243,7 +234,11 @@ def _check_cells(
         raise ValueError(f"clique size must be at least 1, got {r}")
     if mode not in modes:
         raise ValueError(f"unknown exact mode {mode!r}")
-    _check_vertex_count(n, *MODES[mode])
+    if mode == LOCAL_SEARCH:
+        _check_vertex_count(n, VERTEX_CAP)
+    else:
+        over = f"exact modes capped at n={CANONICAL_MAX_N}; use local-search"
+        _check_vertex_count(n, CANONICAL_MAX_N, over)
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
     if workers > MAX_WORKERS:
@@ -592,10 +587,10 @@ class StabilityParams:
             raise ValueError(f"clique size must be at least 2, got {self.r}")
         if self.n < self.r:
             raise ValueError(f"need n >= r, got n={self.n}, r={self.r}")
+        if not isinstance(self.epsilon, Rational):  # first: a string or None cannot be compared
+            raise ValueError(f"epsilon must be an exact rational, got {self.epsilon!r}")
         if not (0 < self.epsilon < 1):
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if not isinstance(self.epsilon, Rational):
-            raise ValueError(f"epsilon must be an exact rational, got {self.epsilon!r}")
 
     @property
     def delta(self) -> Fraction:
@@ -725,8 +720,8 @@ def verify_all(
     checked against: the C(N, m) labeled graphs of a cell, counted as the
     scans count them, or its classes in canonical mode.
     """
-    if n_max > EXHAUSTIVE_MAX_N:
-        raise ResourceLimitError(f"verify capped at n_max={EXHAUSTIVE_MAX_N}, got {n_max}")
+    if n_max > CANONICAL_MAX_N:  # before ``skipped`` is built, whatever n_max is
+        raise ResourceLimitError(f"verify capped at n_max={CANONICAL_MAX_N}, got {n_max}")
     if mode not in EXACT_MODES:
         raise ValueError(f"verify mode must be {' or '.join(EXACT_MODES)}, got {mode!r}")
     rs_all = sorted(set(r_set))

@@ -231,6 +231,20 @@ def test_verify_with_no_cell_exits_1(n_max, r, capsys):
     assert "no cell" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("extremal --n 9 --m 14 --r 2", "exact modes capped at n=8; use local-search"),
+        ("verify --n-max 9 --r 2", "verify capped at n_max=8, got 9"),
+    ],
+    ids=["extremal", "verify"],
+)
+def test_exact_work_above_n8_exits_1(argv, message, capsys):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 1 and out == ""
+    assert err == f"cliquedeg: error: {message}\n"
+
+
 def test_workers_flag_does_not_change_output(tmp_path):
     base = [
         "scan", "--n", "5", "--r", "2", "--m-from", "6", "--m-to", "8",

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -338,14 +339,13 @@ def test_min_witness_is_least_canonical_minimizer():
 
 
 def test_canonical_mode_agrees_with_exhaustive():
-    for n, m, r in ((4, 4, 2), (5, 6, 2), (5, 8, 3)):
+    # one scan under two names, with one cap: every field but ``mode`` is equal, up to n = 8
+    n8 = [(8, m, r) for r in (2, 3, 4) for m in (0, 1, 14, 16, 20, 27, 28)]
+    for n, m, r in [(4, 4, 2), (5, 6, 2), (5, 8, 3)] + n8:
         a = extremal_degree_sum_min(n, m, r, mode="exhaustive")
         b = extremal_degree_sum_min(n, m, r, mode="canonical")
-        assert (a.delta_min, a.witness_g6, a.graphs_examined) == (
-            b.delta_min,
-            b.witness_g6,
-            b.graphs_examined,
-        )
+        assert (a.mode, b.mode) == ("exhaustive", "canonical")
+        assert replace(a, mode="canonical") == b, (n, m, r)
 
 
 def test_canonical_mode_at_n8_matches_oracle():
@@ -357,8 +357,8 @@ def test_canonical_mode_at_n8_matches_oracle():
             witness = from_graph6(rec.witness_g6)
             assert witness.n == 8 and witness.m == m
             assert max_clique_degree_sum(witness, r).value == rec.delta_min
-    with pytest.raises(ResourceLimitError):
-        extremal_degree_sum_min(8, 1, 2, mode="exhaustive")
+    with pytest.raises(ResourceLimitError, match="exact modes capped at n=8; use local-search"):
+        extremal_degree_sum_min(9, 1, 2, mode="exhaustive")
 
 
 def test_sharded_scan_identical_to_single_worker():
@@ -544,11 +544,11 @@ def test_empty_ranges_still_check_their_arguments():
         scan_m(5, 0, 3, 2)
     with pytest.raises(ResourceLimitError, match="worker count 99 exceeds cap"):
         scan_m(5, 2, 3, 2, workers=99)
-    with pytest.raises(ResourceLimitError, match="exhaustive mode capped"):
+    with pytest.raises(ResourceLimitError, match="exact modes capped at n=8; use local-search"):
         scan_m(9, 2, 3, 2)
     with pytest.raises(ValueError, match="restarts and iter-budget"):
         scan_m(5, 2, 3, 2, mode="local-search", restarts=-1)
-    with pytest.raises(ResourceLimitError, match="canonical mode capped"):
+    with pytest.raises(ResourceLimitError, match="exact modes capped at n=8; use local-search"):
         scan_m(9, 2, 3, 2, mode="canonical")
     with pytest.raises(ResourceLimitError, match="vertex count 65 exceeds cap 64"):
         scan_m(65, 2, 3, 2, mode="local-search")
@@ -766,8 +766,9 @@ def test_stability_params():
         StabilityParams(epsilon=Fraction(-1, 8), r=3, n=7)
     with pytest.raises(ValueError):
         StabilityParams(epsilon=Fraction(3, 2), r=2, n=7)
-    with pytest.raises(ValueError, match="exact rational"):
-        StabilityParams(epsilon=0.25, r=2, n=5)
+    for eps in ("1/4", None, 0.25):  # typed first: "<" on a string or None raises TypeError
+        with pytest.raises(ValueError, match="exact rational"):
+            StabilityParams(epsilon=eps, r=2, n=5)
 
 
 def test_stability_small_table():
@@ -926,8 +927,21 @@ def test_verify_reports_a_failing_graph_once_per_swap_least_labeling(monkeypatch
 def test_verify_rejects_bad_r():
     with pytest.raises(ValueError):
         verify_all(4, [1])
-    with pytest.raises(ResourceLimitError):
-        verify_all(8, [2])
+    for mode in ("exhaustive", "canonical"):
+        with pytest.raises(ResourceLimitError, match="verify capped at n_max=8, got 9"):
+            verify_all(9, [2], mode=mode)
+
+
+def test_verify_reaches_n8():
+    rs = (3, 4, 5)
+    labeled = sum(
+        math.comb(n * (n - 1) // 2, m) * sum(turan_size(r, n) <= m for r in rs if r <= n)
+        for n in range(2, 9)
+        for m in range(n * (n - 1) // 2 + 1)
+    )
+    for mode, examined in (("exhaustive", labeled), ("canonical", 323)):
+        rep = verify_all(8, rs, mode=mode)
+        assert (rep.graphs_examined, rep.cells, rep.violations) == (examined, 49, 0), mode
 
 
 def test_band_holds_on_every_exact_record_at_or_above_threshold():
