@@ -233,7 +233,7 @@ def _check_cells(
     if r < 1:
         raise ValueError(f"clique size must be at least 1, got {r}")
     if mode not in modes:
-        raise ValueError(f"unknown exact mode {mode!r}")
+        raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(modes)}")
     if mode == LOCAL_SEARCH:
         _check_vertex_count(n, VERTEX_CAP)
     else:
@@ -378,6 +378,10 @@ def _best_swap(cur: list[int], n: int, r: int):
     that hold one end lose one, so the best kept sum is the highest s with a
     clique in ``level[s] & neither`` or ``level[s + 1] & one``.
     """
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if cur[u] >> v & 1]
+    holes = [(u, v) for u in range(n) for v in range(u + 1, n) if not cur[u] >> v & 1]
+    if not edges or not holes:
+        return None, None, None  # no swap: skip the clique table, which can be huge
     degs = list(map(int.bit_count, cur))
     cliques = list(_clique_sums(cur, degs, r))
     inc = [0] * n
@@ -389,8 +393,6 @@ def _best_swap(cur: list[int], n: int, r: int):
             bits ^= b
             inc[b.bit_length() - 1] |= 1 << i
     every = (1 << len(cliques)) - 1
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if cur[u] >> v & 1]
-    holes = [(u, v) for u in range(n) for v in range(u + 1, n) if not cur[u] >> v & 1]
     rows = list(cur)  # cur with the removed edge taken out; degs follow it
     nb_val: Optional[int] = None
     nb_key = None
@@ -545,18 +547,6 @@ def scan_m(
     ]
 
 
-def _band_failure(n: int, m: int, r: int, value: int) -> Optional[str]:
-    """The two-sided bound 2rm <= value*n < 2rm + rn on an exact minimum."""
-    lhs = value * n
-    lo = 2 * r * m
-    hi = lo + r * n
-    if lhs < lo:
-        return f"delta_min*n = {lhs} < 2rm = {lo}"
-    if lhs >= hi:
-        return f"delta_min*n = {lhs} >= 2rm + rn = {hi}"
-    return None
-
-
 def band_violation(rec: ScanRecord) -> Optional[str]:
     """The two-sided bound 2rm <= value*n < 2rm + rn, checked when m is at or
     above the threshold and n >= r, as the paper states it (records with
@@ -564,7 +554,14 @@ def band_violation(rec: ScanRecord) -> Optional[str]:
     violation."""
     if rec.mode not in EXACT_MODES or rec.regime in (REGIME_BELOW, REGIME_NO_CLIQUE):
         return None
-    return _band_failure(rec.n, rec.m, rec.r, rec.delta_min)
+    lhs = rec.delta_min * rec.n
+    lo = 2 * rec.r * rec.m
+    hi = lo + rec.r * rec.n
+    if lhs < lo:
+        return f"delta_min*n = {lhs} < 2rm = {lo}"
+    if lhs >= hi:
+        return f"delta_min*n = {lhs} >= 2rm + rn = {hi}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -705,7 +702,7 @@ def verify_all(
     max_graphs: Optional[int] = None,
 ) -> VerifyReport:
     """Run both greedy checks on every graph in range and the two-sided bound
-    on every exact minimum; every greedy violation is carried as graph6.
+    on every exact minimum; every violation carries its graph as graph6.
 
     The graphs are the swap-least labelings of ``_least_adjs``, the scans'
     generator, in ascending encoding order; canonical mode keeps only those
@@ -714,16 +711,15 @@ def verify_all(
     shortest stop, the least and greatest first-r sums over all tie
     branches, regularity), and the least labeling of every graph is
     swap-least, so every graph that fails a check is reported: once per
-    swap-least labeling in exhaustive mode.  Each cell's
-    minimum is the scans' own, from ``_min_scan_range``.  graphs_examined
-    counts (graph, r) incidences, each graph once per clique size it is
-    checked against: the C(N, m) labeled graphs of a cell, counted as the
-    scans count them, or its classes in canonical mode.
+    swap-least labeling in exhaustive mode.  Each cell's record is the
+    scans' own, from ``extremal_degree_sum_min``, judged by
+    ``band_violation``, and a band violation carries its witness.
+    graphs_examined counts (graph, r) incidences, each graph once per clique
+    size it is checked against: the C(N, m) labeled graphs of a cell,
+    counted as the scans count them, or its classes in canonical mode.
     """
     if n_max > CANONICAL_MAX_N:  # before ``skipped`` is built, whatever n_max is
         raise ResourceLimitError(f"verify capped at n_max={CANONICAL_MAX_N}, got {n_max}")
-    if mode not in EXACT_MODES:
-        raise ValueError(f"verify mode must be {' or '.join(EXACT_MODES)}, got {mode!r}")
     rs_all = sorted(set(r_set))
     for r in rs_all:
         if r < 2:
@@ -761,7 +757,6 @@ def verify_all(
     for n, rs, thresholds, ms in plan:
         for m in ms:
             active = [r for r in rs if thresholds[r] <= m]
-            total = math.comb(n * (n - 1) // 2, m)
             kept = 0
             for adj, degs in _least_adjs(n, m):
                 if mode == "canonical" and _canonical_chunks(adj, n) != _column_chunks(adj, n):
@@ -777,12 +772,12 @@ def verify_all(
                     for problem in filter(None, problems):
                         g6 = _chunks_to_graph6(n, _column_chunks(adj, n))
                         found(n, m, r, "greedy", problem, g6)
-            graphs_examined += (total if mode == "exhaustive" else kept) * len(active)
             for r in active:
                 cells += 1
-                problem = _band_failure(n, m, r, _min_scan_range((n, m, r, 0, 1))[0])
-                if problem:
-                    found(n, m, r, "band", problem, "")
+                rec = extremal_degree_sum_min(n, m, r, mode=mode)
+                graphs_examined += rec.graphs_examined if mode == "exhaustive" else kept
+                if problem := band_violation(rec):
+                    found(n, m, r, "band", problem, rec.witness_g6)
     return VerifyReport(
         n_max=n_max,
         r_set=tuple(rs_all),

@@ -6,10 +6,12 @@ matrix in column order, six bits per printable byte (offset 63),
 zero-padded.  Parsing is strict: wrong length, stray bytes and nonzero
 padding are all rejected, with the byte offset of the problem.
 
-This module is the only one that walks the column-order layout: one
-encoder (``_column_chunks``, then ``_render_chunks``) and one decoder
-(``_decode_rows``).  Search witnesses and canonical forms (``canonical``)
-are column chunks in the same layout, and use the same two.
+This module holds the one encoder (``_column_chunks``, then
+``_render_chunks``) and the one decoder (``_decode_rows``) of graph6 text.
+Search witnesses and canonical forms are column chunks in the same layout
+and are rendered and read by these two.  Two searches also walk the layout
+themselves, one chunk per placed vertex: ``canonical._canonical_chunks``
+builds chunks and ``extremal._least_adjs`` decodes its chunks to rows.
 """
 
 from __future__ import annotations

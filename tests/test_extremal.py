@@ -8,6 +8,7 @@ import pytest
 
 from cliquedeg import (
     ResourceLimitError,
+    band_violation,
     canonical_form,
     enumerate_graphs,
     extremal_degree_sum_local_search,
@@ -27,7 +28,6 @@ from cliquedeg.canonical import _canonical_chunks, graph_from_triangle_bits
 from cliquedeg.extremal import (
     MAX_RESTARTS,
     MAX_WORKERS,
-    _band_failure,
     _best_swap,
     records_to_csv,
     stability_report_to_csv,
@@ -538,7 +538,9 @@ def test_local_search_scan_checks_every_cell_before_the_first_search(monkeypatch
 
 
 def test_empty_ranges_still_check_their_arguments():
-    with pytest.raises(ValueError, match="unknown exact mode 'bogus'"):
+    with pytest.raises(
+        ValueError, match="unknown mode 'bogus'; expected one of exhaustive, canonical, local-search"
+    ):
         scan_m(5, 2, 3, 2, mode="bogus")
     with pytest.raises(ValueError, match="clique size must be at least 1"):
         scan_m(5, 0, 3, 2)
@@ -560,7 +562,9 @@ def test_empty_ranges_still_check_their_arguments():
     # the max-graphs limit is per cell, so it needs a cell: C(10, 3) = 120
     with pytest.raises(ResourceLimitError, match="120 graphs exceed max-graphs limit 100"):
         scan_m(5, 2, 3, 4, max_graphs=100)
-    with pytest.raises(ValueError, match="unknown exact mode 'local-search'"):
+    with pytest.raises(
+        ValueError, match="unknown mode 'local-search'; expected one of exhaustive, canonical$"
+    ):
         extremal_degree_sum_min(5, 3, 2, mode="local-search")
     assert scan_m(5, 2, 3, 2) == []
     assert scan_m(5, 2, 3, 2, mode="local-search") == []
@@ -692,6 +696,24 @@ def test_best_swap_matches_brute_force_past_canonical_range():
         else:
             assert (val, key) == want, (n, sorted(edges), r)
             assert tuple(adj) == key
+
+
+def test_local_search_lists_no_clique_when_no_swap_exists(monkeypatch):
+    """An empty or complete graph has no edge swap, so local search must not
+    list its r-cliques: K_22 holds 705,432 cliques of size 11."""
+    import cliquedeg.extremal as ext
+
+    def refuse(*args):
+        raise AssertionError("clique table built for a graph with no swap")
+
+    monkeypatch.setattr(ext, "_clique_sums", refuse)
+    rec = extremal_degree_sum_local_search(22, 231, 11, restarts=0)
+    assert (rec.delta_min, rec.ratio_num, rec.ratio_den, rec.graphs_examined) == (231, 231, 1, 1)
+    assert rec.witness_g6 == "U" + "~" * 38 + "w" and rec.regime == "above-threshold"
+    rec = extremal_degree_sum_local_search(9, 0, 3, restarts=0)
+    assert (rec.delta_min, rec.witness_g6, rec.graphs_examined, rec.regime) == (
+        0, "H??????", 1, "below-threshold"
+    )
 
 
 def test_local_search_reaches_known_minima():
@@ -843,12 +865,13 @@ def test_verify_canonical_n7_matches_exhaustive_band_cells(monkeypatch):
     import cliquedeg.extremal as ext
 
     seen = {}
+    judge = ext.band_violation
 
-    def band(n, m, r, value):
-        seen[mode][n, m, r] = value
-        return _band_failure(n, m, r, value)
+    def band(rec):
+        seen[mode][rec.n, rec.m, rec.r] = rec.delta_min
+        return judge(rec)
 
-    monkeypatch.setattr(ext, "_band_failure", band)
+    monkeypatch.setattr(ext, "band_violation", band)
     reports = {}
     for mode in ("canonical", "exhaustive"):
         seen[mode] = {}
@@ -864,12 +887,17 @@ def test_verify_canonical_n7_matches_exhaustive_band_cells(monkeypatch):
     assert seen["canonical"] == seen["exhaustive"]
 
 
+def _band(value: int, n: int = 4, m: int = 4, r: int = 2) -> str | None:
+    rec = extremal_degree_sum_min(n, m, r)
+    return band_violation(replace(rec, delta_min=value))
+
+
 def test_band_failure_messages():
     # n=4, r=2, m=4: the band is 16 <= value*4 < 24
-    assert _band_failure(4, 4, 2, 3) == "delta_min*n = 12 < 2rm = 16"
-    assert _band_failure(4, 4, 2, 4) is None
-    assert _band_failure(4, 4, 2, 5) is None
-    assert _band_failure(4, 4, 2, 6) == "delta_min*n = 24 >= 2rm + rn = 24"
+    assert _band(3) == "delta_min*n = 12 < 2rm = 16"
+    assert _band(4) is None
+    assert _band(5) is None
+    assert _band(6) == "delta_min*n = 24 >= 2rm + rn = 24"
 
 
 def test_verify_counterexamples_carry_check_wording(monkeypatch):
@@ -892,9 +920,11 @@ def test_verify_counterexamples_carry_check_wording(monkeypatch):
         assert floor_ce["graph6"] == mean_ce["graph6"]
         g = from_graph6(floor_ce["graph6"])
         assert (g.n, g.m) == (n, m)
+    # a band counterexample carries the cell's minimizer: here its first swap-least labeling
     for ce in band:
-        assert ce["detail"] == _band_failure(ce["n"], ce["m"], 2, 0)
-        assert ce["graph6"] == ""
+        assert ce["detail"] == _band(0, ce["n"], ce["m"])
+        g = from_graph6(ce["graph6"])
+        assert (g.n, g.m) == (ce["n"], ce["m"])
 
 
 def test_verify_reports_a_failing_graph_once_per_swap_least_labeling(monkeypatch):
