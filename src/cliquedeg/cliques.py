@@ -17,31 +17,54 @@ class DegreeSumResult:
     witness: Optional[VertexSet]
 
 
-def _clique_sums(adj, degs, r: int) -> Iterator[tuple[int, int]]:
-    """Yield (degree sum, bitmask) for every r-clique, r >= 1, in lexicographic order.
+def _clique_sums(
+    adj, degs, r: int, cands: int | None = None, floor: list[int] | None = None
+) -> Iterator[tuple[int, int]]:
+    """Yield (degree sum, bitmask) for r-cliques, r >= 1, in lexicographic order.
 
     A depth-first walk that tries candidates bit by bit: a stack entry is an
     open clique with its untried candidates w, and once the lowest, v, is
     cleared from w, ``w & adj[v]`` is exactly the set of higher common
     neighbours.  A clique with too few of them is not opened, so r > n costs
-    O(n).  ``_best_clique`` runs the same walk with a bound and an abort.
+    O(n).  The walk starts from the vertex bitmask ``cands`` (default: all).
+
+    ``floor``, a one-item list the consumer may raise between yields (default
+    [-1]: every clique), makes the walk a branch and bound with degree as the
+    vertex weight (Carraghan and Pardalos 1990, Östergård 2001).  A clique is
+    yielded only when its sum exceeds ``floor[0]``, and at an open clique of
+    degree sum ``acc`` that still needs ``need`` vertices, a candidate v is
+    not opened when ``acc + degs[v] + (need - 1) * max(degs) <= floor[0]``:
+    no clique through v could be yielded.  ``_best_clique`` raises the floor
+    to each sum it is given, so a dropped clique could at most tie the best
+    so far, and a tie met later in lex order could not replace it; a clique
+    above ``abort_above`` beats every floor below it and is never dropped,
+    so the abort stays exact.
     """
-    stack = [(0, 0, r, (1 << len(adj)) - 1)]  # (degree sum, members, still needed, candidates)
+    if floor is None:
+        floor = [-1]
+    top = max(degs, default=0)
+    if cands is None:
+        cands = (1 << len(adj)) - 1
+    stack = [(0, 0, r, cands)]  # (degree sum, members, still needed, candidates)
     while stack:
         acc, members, need, w = stack.pop()
         if need == 1:
             while w:
                 b = w & -w
                 w ^= b
-                yield acc + degs[b.bit_length() - 1], members | b
+                s = acc + degs[b.bit_length() - 1]
+                if s > floor[0]:
+                    yield s, members | b
         elif w:
             b = w & -w
             w ^= b
             stack.append((acc, members, need, w))
             v = b.bit_length() - 1
-            cand = w & adj[v]
-            if cand.bit_count() >= need - 1:
-                stack.append((acc + degs[v], members | b, need - 1, cand))
+            s = acc + degs[v]
+            if s + (need - 1) * top > floor[0]:
+                cand = w & adj[v]
+                if cand.bit_count() >= need - 1:
+                    stack.append((s, members | b, need - 1, cand))
 
 
 def enumerate_r_cliques(g: Graph, r: int) -> Iterator[VertexSet]:
@@ -70,16 +93,10 @@ def _best_clique(
 
     Returns (value, clique bitmask), (0, 0) when there is no r-clique, or
     None as soon as some r-clique's sum exceeds ``abort_above``.  For
-    r != 2 it runs the walk of ``_clique_sums``, which meets cliques in
-    lexicographic order of sorted vertex lists, so the first maximum found
-    is the lex-least.  The walk is a branch and bound with degree as the
-    vertex weight (Carraghan and Pardalos 1990, Östergård 2001): at an open
-    clique of degree sum ``acc`` that still needs ``need`` vertices, a
-    candidate v is not opened when ``acc + degs[v] + (need - 1) * max(degs)
-    <= best``.  No clique through v can beat ``best``, and one that ties
-    it comes later in lex order, so it could not replace it; a clique above
-    ``abort_above`` beats ``best`` and is never dropped, so the abort stays
-    exact.
+    r != 2 it reads the walk of ``_clique_sums``, which meets cliques in
+    lexicographic order of sorted vertex lists, with the floor raised to
+    each sum it yields, so the first maximum is the lex-least and the walk
+    prunes by its degree bound.
 
     ``within``, a vertex bitmask, keeps the search to the cliques inside it:
     the walk and the r = 2 loop start from it instead of the full vertex
@@ -87,16 +104,15 @@ def _best_clique(
     its vertex numbers and with the degrees ``degs``, and no masked rows are
     built.
     """
-    n = len(adj)
     limit = abort_above if abort_above is not None else sum(degs)  # no clique exceeds it
     best = -1
     best_bits = 0
-    cands = (1 << n) - 1 if within is None else within
     if r == 2:
         # pairs come in lexicographic order, so the first maximum is lex-least.  The walk
-        # below gives the same results, but on local search's r - 2 = 2 calls and the
+        # of _clique_sums gives the same results, but on local search's r - 2 = 2 calls and the
         # n <= 8 scans, which take most pairs, it raised local-search query_p50_ms 19-56%
         # and exact-scan job_s 1-6%; it was faster only on whole graphs of 8-40 vertices
+        cands = (1 << len(adj)) - 1 if within is None else within
         while cands:
             a = cands & -cands
             cands ^= a  # now the candidates above u
@@ -113,30 +129,12 @@ def _best_clique(
                     best = s
                     best_bits = a | b
     else:
-        top = max(degs, default=0)
-        stack = [(0, 0, r, cands)]  # (degree sum, members, still needed, candidates)
-        while stack:
-            acc, members, need, w = stack.pop()
-            if need == 1:
-                while w:
-                    b = w & -w
-                    w ^= b
-                    s = acc + degs[b.bit_length() - 1]
-                    if s > best:
-                        if s > limit:
-                            return None
-                        best = s
-                        best_bits = members | b
-            elif w:
-                b = w & -w
-                w ^= b
-                stack.append((acc, members, need, w))
-                v = b.bit_length() - 1
-                s = acc + degs[v]
-                if s + (need - 1) * top > best:
-                    cand = w & adj[v]
-                    if cand.bit_count() >= need - 1:
-                        stack.append((s, members | b, need - 1, cand))
+        floor = [-1]
+        for s, bits in _clique_sums(adj, degs, r, within, floor):
+            if s > limit:
+                return None
+            floor[0] = best = s
+            best_bits = bits
     return (best, best_bits) if best >= 0 else (0, 0)
 
 

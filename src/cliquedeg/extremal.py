@@ -376,7 +376,9 @@ def _best_swap(cur: list[int], n: int, r: int):
     holding vertex x, and ``level[s]``, the cliques of sum s.  Per removed
     edge, the kept cliques that hold neither end keep their sum and those
     that hold one end lose one, so the best kept sum is the highest s with a
-    clique in ``level[s] & neither`` or ``level[s + 1] & one``.
+    clique in ``level[s] & neither`` or ``level[s + 1] & one``.  Each mask is
+    filled as a bytearray and made an int once: OR-ing ``1 << i`` into an
+    int copies it, which would make the build quadratic in the clique count.
     """
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if cur[u] >> v & 1]
     holes = [(u, v) for u in range(n) for v in range(u + 1, n) if not cur[u] >> v & 1]
@@ -384,14 +386,20 @@ def _best_swap(cur: list[int], n: int, r: int):
         return None, None, None  # no swap: skip the clique table, which can be huge
     degs = list(map(int.bit_count, cur))
     cliques = list(_clique_sums(cur, degs, r))
-    inc = [0] * n
-    level = [0] * (max((s for s, _ in cliques), default=-1) + 2)
+    size = (len(cliques) + 7) // 8
+    inc = [bytearray(size) for _ in range(n)]
+    level = [None] * (max((s for s, _ in cliques), default=-1) + 2)
     for i, (s, bits) in enumerate(cliques):
-        level[s] |= 1 << i
+        byte, bit = i >> 3, 1 << (i & 7)
+        if level[s] is None:
+            level[s] = bytearray(size)
+        level[s][byte] |= bit
         while bits:
             b = bits & -bits
             bits ^= b
-            inc[b.bit_length() - 1] |= 1 << i
+            inc[b.bit_length() - 1][byte] |= bit
+    inc = [int.from_bytes(m, "little") for m in inc]
+    level = [0 if m is None else int.from_bytes(m, "little") for m in level]
     every = (1 << len(cliques)) - 1
     rows = list(cur)  # cur with the removed edge taken out; degs follow it
     nb_val: Optional[int] = None

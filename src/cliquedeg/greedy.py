@@ -34,6 +34,7 @@ from .graphs import Graph, ResourceLimitError, _bits
 from .turan import turan_size
 
 DEFAULT_BRANCH_CAP = 100_000
+MAX_BRANCH_CAP = 1_000_000  # greedy runs all_greedy_sequences may be asked to keep
 MAX_PREFIX_SETS = 100_000  # prefix sets one prefix-set scan may keep over all levels
 
 
@@ -99,10 +100,13 @@ def all_greedy_sequences(g: Graph, branch_cap: int = DEFAULT_BRANCH_CAP) -> list
     """Every vertex sequence the construction can produce, over all tie choices.
 
     Returns the distinct sequences sorted by vertex tuple.  Raises
-    ResourceLimitError once more than ``branch_cap`` sequences complete.
+    ResourceLimitError once more than ``branch_cap`` sequences complete, and
+    before any run when ``branch_cap`` exceeds ``MAX_BRANCH_CAP``.
     """
     if branch_cap < 1:
         raise ValueError(f"branch cap must be at least 1, got {branch_cap}")
+    if branch_cap > MAX_BRANCH_CAP:
+        raise ResourceLimitError(f"branch cap {branch_cap} exceeds cap {MAX_BRANCH_CAP}")
     out: list[GreedySequence] = []
     for vertices, sums in _runs(g):
         if len(out) >= branch_cap:

@@ -112,9 +112,12 @@ def test_matches_naive_oracle(g, r):
 
 
 def test_clique_walk_matches_naive_oracle_on_every_small_graph():
-    """The raw walk behind clique enumeration and local search: on every labeled
-    graph with n <= 5 and every r = 1..n+1, the same cliques in the same
-    (lexicographic) order, each with the degree sum of its members."""
+    """The one walk behind clique enumeration, local search and the kernel: on
+    every labeled graph with n <= 5 and every r = 1..n+1, the same cliques in
+    the same (lexicographic) order, each with the degree sum of its members.
+    With a fixed floor f it yields exactly those of sum > f, and with a floor
+    the consumer raises to each sum it is given, exactly the strict running
+    maxima, so the floor is read afresh at every step."""
     from cliquedeg.cliques import _clique_sums
 
     for n in range(6):
@@ -129,6 +132,20 @@ def test_clique_walk_matches_naive_oracle_on_every_small_graph():
                     for c in naive_r_cliques(n, edges, r)
                 ]
                 assert list(_clique_sums(adj, deg, r)) == expected, (n, edges, r)
+                top = max((s for s, _ in expected), default=0)
+                for f in (-1, 0, top - 1, top):
+                    got = list(_clique_sums(adj, deg, r, floor=[f]))
+                    assert got == [e for e in expected if e[0] > f], (n, edges, r, f)
+                maxima = []
+                for e in expected:
+                    if not maxima or e[0] > maxima[-1][0]:
+                        maxima.append(e)
+                floor = [-1]
+                got = []
+                for s, bits in _clique_sums(adj, deg, r, floor=floor):
+                    got.append((s, bits))
+                    floor[0] = s
+                assert got == maxima, (n, edges, r)
 
 
 @settings(max_examples=100, deadline=None)

@@ -83,6 +83,28 @@ def test_branch_cap():
     assert len(all_greedy_sequences(g, branch_cap=24)) == 24
 
 
+def test_branch_cap_above_the_limit_is_refused_before_any_run(monkeypatch, tmp_path, capsys):
+    """K_12 has 12! greedy runs, so a cap above MAX_BRANCH_CAP could keep
+    hundreds of millions of them; it is refused before the walk starts."""
+    from cliquedeg.cli import main
+
+    def refuse(g):
+        raise AssertionError("the greedy walk ran")
+
+    monkeypatch.setattr(greedy, "_runs", refuse)
+    g = from_edges(12, slot_pairs(12))
+    too_many = greedy.MAX_BRANCH_CAP + 1
+    with pytest.raises(ResourceLimitError, match=f"branch cap {too_many} exceeds cap"):
+        all_greedy_sequences(g, branch_cap=too_many)
+    path = tmp_path / "k12.g6"
+    path.write_text(to_graph6(g) + "\n")
+    code = main(["greedy", "--input", str(path), "--all-branches", "--branch-cap", str(too_many)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"cliquedeg: error: branch cap {too_many} exceeds cap {greedy.MAX_BRANCH_CAP}\n"
+    )
+
+
 def test_deterministic_run_is_among_all_branches():
     for mask in range(0, 2 ** 10, 37):
         edges = [p for k, p in enumerate(slot_pairs(5)) if mask >> k & 1]
