@@ -2,7 +2,7 @@
 balanced multipartite (Turan) graph arithmetic for small graphs."""
 
 from .canonical import canonical_form
-from .cliques import DegreeSumResult, degree_sum, enumerate_r_cliques, max_clique_degree_sum
+from .cliques import DegreeSumResult, enumerate_r_cliques, max_clique_degree_sum
 from .graph6 import (
     Graph6ParseError,
     from_edge_list_text,
@@ -16,11 +16,7 @@ from .graphs import (
     Graph,
     ResourceLimitError,
     VertexSet,
-    add_edge,
-    bonferroni_lower_bound,
-    common_neighborhood,
     from_edges,
-    new_graph,
 )
 from .greedy import (
     DEFAULT_BRANCH_CAP,
@@ -39,7 +35,6 @@ from .extremal import (
     StabilityReport,
     VerifyReport,
     band_violation,
-    enumerate_graphs,
     extremal_degree_sum_local_search,
     extremal_degree_sum_min,
     near_regular_graph,
@@ -68,17 +63,12 @@ __all__ = [
     "VERTEX_CAP",
     "VerifyReport",
     "VertexSet",
-    "add_edge",
     "all_greedy_sequences",
     "band_violation",
-    "bonferroni_lower_bound",
     "canonical_form",
     "check_floor_bound",
     "check_mean_bound",
-    "common_neighborhood",
     "complete_multipartite",
-    "degree_sum",
-    "enumerate_graphs",
     "enumerate_r_cliques",
     "extremal_degree_sum_local_search",
     "extremal_degree_sum_min",
@@ -89,7 +79,6 @@ __all__ = [
     "load_graph_text",
     "max_clique_degree_sum",
     "near_regular_graph",
-    "new_graph",
     "scan_m",
     "stability_experiment",
     "to_edge_list_text",

@@ -8,8 +8,8 @@ encodings compare as tuples.
 
 from __future__ import annotations
 
-from .graph6 import _decode_rows, _render_chunks
-from .graphs import VERTEX_CAP, Graph, ResourceLimitError, _check_vertex_count
+from .graph6 import _render_chunks
+from .graphs import Graph, ResourceLimitError
 
 CANONICAL_MAX_N = 8
 
@@ -82,12 +82,3 @@ def canonical_form(g: Graph) -> str:
         raise ResourceLimitError(f"canonical form capped at n={CANONICAL_MAX_N}, got {g.n}")
     return _render_chunks(_canonical_chunks(g.adj, g.n))
 
-
-def graph_from_triangle_bits(n: int, bits: str) -> Graph:
-    """Rebuild a graph from a column-order upper-triangle bitstring."""
-    _check_vertex_count(n, VERTEX_CAP)
-    if len(bits) != n * (n - 1) // 2:
-        raise ValueError(f"expected {n * (n - 1) // 2} bits for n={n}, got {len(bits)}")
-    if not set(bits) <= {"0", "1"}:
-        raise ValueError(f"bits must be '0' or '1', got {bits!r}")
-    return Graph._raw(n, tuple(_decode_rows(n, bits)))

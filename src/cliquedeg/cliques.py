@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .graphs import Graph, VertexSet, _bits
+from .graphs import Graph, VertexSet
 
 
 @dataclass(frozen=True)
@@ -73,13 +73,6 @@ def enumerate_r_cliques(g: Graph, r: int) -> Iterator[VertexSet]:
         raise ValueError(f"clique size must be at least 1, got {r}")
     for _, bits in _clique_sums(g.adj, g.degrees(), r):
         yield VertexSet(bits, g.n)
-
-
-def degree_sum(g: Graph, members: VertexSet) -> int:
-    """Sum of the graph degrees of the given vertices."""
-    if members.n != g.n:
-        raise ValueError(f"vertex set over {members.n} vertices used with n={g.n}")
-    return sum(g.adj[v].bit_count() for v in _bits(members.bits))
 
 
 def _best_clique(

@@ -34,7 +34,6 @@ come from ``canonical``.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -146,23 +145,6 @@ def _least_adjs(n: int, m: int, part: int = 0, parts: int = 1) -> Iterator[tuple
 
     if n > 2 or part == 0:
         yield from place(1, 0, m)
-
-
-def enumerate_graphs(n: int, m: int) -> Iterator[Graph]:
-    """Every labeled graph on n vertices with exactly m edges, each once.
-
-    Iterates m-subsets of the edge slots (pairs (u, v) with u < v in
-    lexicographic order) in lexicographic order.
-    """
-    _check_vertex_count(
-        n, CANONICAL_MAX_N,
-        f"exhaustive enumeration capped at n={CANONICAL_MAX_N}; use local-search mode for larger graphs",
-    )
-    nslots = n * (n - 1) // 2
-    if m < 0 or m > nslots:
-        raise ValueError(f"edge count {m} outside 0..{nslots}")
-    for pairs in itertools.combinations(_slots(n), m):
-        yield from_edges(n, pairs)
 
 
 # ---------------------------------------------------------------------------

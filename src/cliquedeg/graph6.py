@@ -170,9 +170,10 @@ def from_edge_list_text(text: str, cap: int = VERTEX_CAP) -> Graph:
 
 
 def load_graph_text(text: str, cap: int = VERTEX_CAP) -> Graph:
-    """Read either format: an edge list if the first line is two integers, else graph6."""
-    stripped = text.lstrip()
-    first = stripped.splitlines()[0] if stripped else ""
+    """Read either format: an edge list if the first line is two integers, else
+    one graph6 line, after which only blank lines may follow."""
+    lines = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    first = lines[0][1].lstrip() if lines else ""
     fields = first.split()
     if len(fields) == 2:
         try:
@@ -181,4 +182,6 @@ def load_graph_text(text: str, cap: int = VERTEX_CAP) -> Graph:
             pass
         else:
             return from_edge_list_text(text, cap=cap)
-    return from_graph6(stripped.splitlines()[0] if stripped else "", cap=cap)
+    if len(lines) > 1:
+        raise Graph6ParseError("one graph per input: a second graph6 line follows", lines[1][0])
+    return from_graph6(first, cap=cap)

@@ -68,14 +68,8 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def degree(self, u: int) -> int:
-        return self.adj[u].bit_count()
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(row.bit_count() for row in self.adj)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (u, v) pairs with u < v, in lexicographic order."""
@@ -114,15 +108,6 @@ class VertexSet:
         if self.bits < 0 or self.bits & ~((1 << self.n) - 1):
             raise ValueError(f"members outside 0..{self.n - 1}")
 
-    @classmethod
-    def of(cls, members: Iterable[int], n: int) -> "VertexSet":
-        bits = 0
-        for v in members:
-            if not 0 <= v < n:
-                raise IndexError(f"vertex {v} out of range 0..{n - 1}")
-            bits |= 1 << v
-        return cls(bits, n)
-
     @property
     def members(self) -> tuple[int, ...]:
         return tuple(_bits(self.bits))
@@ -149,26 +134,6 @@ def _check_vertex_count(n: int, cap: int, over: Optional[str] = None) -> None:
         raise ResourceLimitError(over or f"vertex count {n} exceeds cap {cap}")
 
 
-def new_graph(n: int, cap: int = VERTEX_CAP) -> Graph:
-    """Edgeless graph on n vertices; n above the cap is a resource error."""
-    _check_vertex_count(n, cap)
-    return Graph._raw(n, (0,) * n)
-
-
-def add_edge(g: Graph, u: int, v: int) -> Graph:
-    """Return g with edge {u, v} added (idempotent)."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise IndexError(f"edge ({u}, {v}) out of range 0..{g.n - 1}")
-    if u == v:
-        raise ValueError(f"loop edge ({u}, {u}) not allowed")
-    if g.adj[u] >> v & 1:
-        return g
-    adj = list(g.adj)
-    adj[u] |= 1 << v
-    adj[v] |= 1 << u
-    return Graph._raw(g.n, tuple(adj))
-
-
 def from_edges(n: int, edges: Iterable[tuple[int, int]], cap: int = VERTEX_CAP) -> Graph:
     """Build a graph from an iterable of (u, v) pairs; duplicates are merged."""
     _check_vertex_count(n, cap)
@@ -182,41 +147,3 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]], cap: int = VERTEX_CAP) 
         adj[v] |= 1 << u
     return Graph._raw(n, tuple(adj))
 
-
-def common_neighborhood(g: Graph, members: VertexSet | Iterable[int]) -> VertexSet:
-    """Vertices adjacent to every member of the given set.
-
-    The empty set returns the full vertex set (empty-intersection
-    convention), which makes the first step of the greedy clique
-    construction a special case of the general step.
-    """
-    if isinstance(members, VertexSet):
-        if members.n != g.n:
-            raise ValueError(f"vertex set over {members.n} vertices used with n={g.n}")
-        bits = members.bits
-    else:
-        bits = VertexSet.of(members, g.n).bits
-    acc = g.full_mask
-    for v in _bits(bits):
-        acc &= g.adj[v]
-        if not acc:
-            break
-    return VertexSet(acc, g.n)
-
-
-def bonferroni_lower_bound(set_sizes: list[int], universe_size: int) -> int:
-    """Lower bound on the intersection size of k subsets of a universe.
-
-    For sets M_1..M_k inside a universe V this returns
-    max(0, sum |M_i| - (k-1)|V|), which never exceeds the true
-    intersection size.
-    """
-    if universe_size < 0:
-        raise ValueError("universe size must be nonnegative")
-    for s in set_sizes:
-        if s < 0:
-            raise ValueError(f"set size {s} is negative")
-        if s > universe_size:
-            raise ValueError(f"set size {s} exceeds universe size {universe_size}")
-    k = len(set_sizes)
-    return max(0, sum(set_sizes) - (k - 1) * universe_size)

@@ -121,6 +121,14 @@ def naive_bitstring(n, pairs):
     return "".join("1" if (i, j) in have else "0" for j in range(1, n) for i in range(j))
 
 
+def naive_edges_from_bitstring(n, bits):
+    """The edges (u, v), u < v, that a column-order upper-triangle bitstring
+    over n vertices sets: the inverse of ``naive_bitstring``."""
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    assert len(bits) == len(pairs) and set(bits) <= {"0", "1"}
+    return [p for p, b in zip(pairs, bits) if b == "1"]
+
+
 def naive_swap_least(n, pairs):
     """Whether no swap of two consecutive vertices j, j + 1 (1 <= j <= n - 2)
     that changes column j of the labeled bitstring lowers it: each such swap is

@@ -152,6 +152,10 @@ def test_exit_codes_on_errors(capsys, tmp_path):
     assert code == 1 and "offset" in err
     code, _, _ = run_cli(capsys, "delta", "--input", str(tmp_path / "missing"), "--r", "2")
     assert code == 1
+    two = tmp_path / "two.g6"
+    two.write_text("Bw\nCF\n")
+    code, out, err = run_cli(capsys, "delta", "--input", str(two), "--r", "2")
+    assert code == 1 and out == "" and "one graph per input" in err and "(offset 2)" in err
 
 
 def test_turan_part_count_over_cap_exits_1(capsys):

@@ -10,7 +10,6 @@ from cliquedeg import (
     ResourceLimitError,
     band_violation,
     canonical_form,
-    enumerate_graphs,
     extremal_degree_sum_local_search,
     extremal_degree_sum_min,
     from_edges,
@@ -24,7 +23,7 @@ from cliquedeg import (
     verify_all,
     StabilityParams,
 )
-from cliquedeg.canonical import _canonical_chunks, graph_from_triangle_bits
+from cliquedeg.canonical import _canonical_chunks
 from cliquedeg.extremal import (
     MAX_RESTARTS,
     MAX_WORKERS,
@@ -40,6 +39,7 @@ from oracles import (
     _pair_weights,
     naive_best_swap,
     naive_bitstring,
+    naive_edges_from_bitstring,
     naive_isomorphism_classes,
     naive_least_minimizer_g6,
     naive_local_search,
@@ -48,40 +48,8 @@ from oracles import (
 )
 
 
-def test_enumerate_counts():
-    assert len(list(enumerate_graphs(3, 2))) == 3
-    assert len(list(enumerate_graphs(4, 4))) == 15
-    assert len(list(enumerate_graphs(0, 0))) == 1
-    with pytest.raises(ValueError):
-        list(enumerate_graphs(4, 7))
-    with pytest.raises(ResourceLimitError):
-        list(enumerate_graphs(9, 3))
-
-
-def test_enumerate_each_graph_once_with_right_size():
-    seen = set()
-    for g in enumerate_graphs(4, 3):
-        assert g.n == 4 and g.m == 3
-        seen.add(g.adj)
-    assert len(seen) == math.comb(6, 3)
-
-
 def _edge_set(rows):
     return frozenset((u, v) for u, v in slot_pairs(len(rows)) if rows[u] >> v & 1)
-
-
-def test_labeled_walk_matches_combinations_oracle():
-    """enumerate_graphs yields every m-subset of the edge slots once, in the
-    order of itertools.combinations, with its degrees."""
-    for n in range(6):
-        slots = slot_pairs(n)
-        for m in range(len(slots) + 1):
-            expected = list(itertools.combinations(slots, m))
-            graphs = list(enumerate_graphs(n, m))
-            assert [tuple(g.edges()) for g in graphs] == expected, (n, m)
-            for g, pairs in zip(graphs, expected):
-                assert g.m == m
-                assert g.degrees() == tuple(sum(v in p for p in pairs) for v in range(n)), pairs
 
 
 def _pairs(rows):
@@ -129,7 +97,7 @@ def test_canonical_distinguishes():
 
 
 def test_canonical_classes_n4_m3():
-    forms = {canonical_form(g) for g in enumerate_graphs(4, 3)}
+    forms = {canonical_form(from_edges(4, pairs)) for pairs in itertools.combinations(slot_pairs(4), 3)}
     assert len(forms) == 3  # path, star, triangle plus isolated vertex
 
 
@@ -265,20 +233,8 @@ def test_triangle_bits_round_trip():
         edges = [p for p in slot_pairs(n) if rng.random() < 0.4]
         g = from_edges(n, edges)
         canon = canonical_form(g)
-        h = graph_from_triangle_bits(n, canon)
+        h = from_edges(n, naive_edges_from_bitstring(n, canon))
         assert canonical_form(h) == canon and h.m == g.m
-
-
-def test_triangle_bits_reject_other_characters():
-    # int(s, 2) alone would take "1_0" and surrounding whitespace
-    for bits in ("2x1", "1_0", " 10", "10 ", "+10", "1\n0"):
-        with pytest.raises(ValueError):
-            graph_from_triangle_bits(3, bits)
-    with pytest.raises(ValueError):
-        graph_from_triangle_bits(3, "10")
-    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
-        graph_from_triangle_bits(-1, "0")  # n(n - 1)/2 = 1 bit
-    assert graph_from_triangle_bits(3, "101").m == 2
 
 
 def test_min_exact_derived_values():
@@ -315,7 +271,7 @@ def test_min_exact_matches_naive_oracle_broadly():
 def test_min_witness_is_least_canonical_minimizer():
     rec = extremal_degree_sum_min(5, 4, 2)
     minimizers = [
-        g for g in enumerate_graphs(5, 4)
+        g for g in (from_edges(5, pairs) for pairs in itertools.combinations(slot_pairs(5), 4))
         if max_clique_degree_sum(g, 2).value == rec.delta_min
     ]
     least = min(canonical_form(g) for g in minimizers)
@@ -940,7 +896,7 @@ def test_verify_reports_a_failing_graph_once_per_swap_least_labeling(monkeypatch
 
     monkeypatch.setattr(ext, "greedy_prefix_extremes", paw_fails)
     paw = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    canonical = to_graph6(graph_from_triangle_bits(4, canonical_form(paw)))
+    canonical = to_graph6(from_edges(4, naive_edges_from_bitstring(4, canonical_form(paw))))
     reported = {}
     for mode in ("exhaustive", "canonical"):
         rep = verify_all(4, [2], mode=mode)

@@ -144,3 +144,13 @@ def test_load_autodetect():
     g = from_edges(4, [(0, 1), (2, 3)])
     assert load_graph_text(to_graph6(g) + "\n") == g
     assert load_graph_text(to_edge_list_text(g)) == g
+
+
+def test_load_takes_one_graph6_line():
+    g = from_edges(3, [(0, 1), (1, 2), (0, 2)])  # Bw
+    text = to_graph6(g)
+    assert load_graph_text("\n  " + text + "\n\n \t\n") == g
+    for extra, lineno in (("\nCF\n", 2), ("\n\n  CF", 3), ("\n" + text, 2)):
+        with pytest.raises(Graph6ParseError, match="one graph per input") as info:
+            load_graph_text(text + extra)
+        assert info.value.offset == lineno, extra

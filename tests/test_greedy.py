@@ -12,11 +12,9 @@ from cliquedeg import (
     all_greedy_sequences,
     check_floor_bound,
     check_mean_bound,
-    common_neighborhood,
     from_edges,
     greedy_sequence,
     max_clique_degree_sum,
-    new_graph,
     to_graph6,
     turan_graph,
     turan_size,
@@ -53,7 +51,7 @@ def test_greedy_sequence_turan36():
 
 def test_greedy_sequence_empty_graph():
     with pytest.raises(ValueError):
-        greedy_sequence(new_graph(0))
+        greedy_sequence(from_edges(0, []))
 
 
 def test_all_sequences_k2():
@@ -119,23 +117,24 @@ def test_deterministic_run_is_among_all_branches():
 def test_sequence_invariants(g):
     for s in all_greedy_sequences(g):
         verts = s.vertices
-        degs = [g.degree(v) for v in verts]
+        deg = g.degrees()
+        degs = [deg[v] for v in verts]
         # clique
         for a, b in itertools.combinations(verts, 2):
-            assert g.has_edge(a, b)
-        # maximal by common neighborhood
-        assert len(common_neighborhood(g, verts)) == 0
+            assert g.adj[a] >> b & 1
         # greedy choice at every step, degree monotone
         assert degs == sorted(degs, reverse=True)
         cand = g.full_mask
         for v in verts:
             members = [w for w in range(g.n) if cand >> w & 1]
-            assert g.degree(v) == max(g.degree(w) for w in members)
+            assert deg[v] == max(deg[w] for w in members)
             cand &= g.adj[v]
+        # maximal: no vertex is adjacent to every member
+        assert cand == 0
         # prefix degree sums
         acc = 0
         for v, total in zip(verts, s.degree_sums):
-            acc += g.degree(v)
+            acc += deg[v]
             assert total == acc
 
 
