@@ -6,7 +6,9 @@ is deterministic for a fixed config including the seed, and every
 report carries the tool version plus the fully resolved config.  Each
 ``_cmd_*`` handler computes its result once and hands its JSON, CSV and
 text renderings to ``_report``, the one report writer: it alone reads
-``--format``, builds the header and writes to stdout or ``--out``.
+``--format``, builds the header and writes to stdout or ``--out``.  The
+library returns dataclasses only; this module is the one that knows an
+output format, and each handler holds all three shapes of its result.
 """
 
 from __future__ import annotations
@@ -24,12 +26,8 @@ from .extremal import (
     MODES,
     StabilityParams,
     band_violation,
-    record_to_dict,
-    records_to_csv,
     scan_m,
     stability_experiment,
-    stability_report_to_csv,
-    stability_report_to_dict,
     verify_all,
 )
 from .graph6 import Graph6ParseError, load_graph_text
@@ -209,8 +207,20 @@ def _cmd_scan(args, m_from: int, m_to: int) -> int:
     )
     _report(
         args,
-        lambda: [record_to_dict(rec) for rec in records],
-        lambda: records_to_csv(records),
+        lambda: [
+            {
+                "n": rec.n, "m": rec.m, "r": rec.r, "mode": rec.mode, "delta_min": rec.delta_min,
+                "witness": rec.witness_g6,
+                "lower_2rm_over_n": {"num": rec.ratio_num, "den": rec.ratio_den},
+                "graphs_examined": rec.graphs_examined, "regime": rec.regime,
+            }
+            for rec in records
+        ],
+        lambda: "n,m,r,mode,delta_min,ratio_num,ratio_den,witness_g6,graphs_examined\n" + "".join(
+            f"{rec.n},{rec.m},{rec.r},{rec.mode},{rec.delta_min},"
+            f"{rec.ratio_num},{rec.ratio_den},{rec.witness_g6},{rec.graphs_examined}\n"
+            for rec in records
+        ),
         lambda: [
             f"n={rec.n} m={rec.m} r={rec.r} mode={rec.mode} delta_min={rec.delta_min} "
             f"bound={rec.ratio_num}/{rec.ratio_den} witness={rec.witness_g6} "
@@ -237,8 +247,26 @@ def _cmd_stability(args) -> int:
     )
     _report(
         args,
-        lambda: stability_report_to_dict(rep),
-        lambda: stability_report_to_csv(rep),
+        lambda: {
+            "r": rep.r, "n": rep.n,
+            "epsilon": {"num": rep.epsilon_num, "den": rep.epsilon_den},
+            "delta": {"num": rep.delta_num, "den": rep.delta_den},
+            "m_threshold": rep.m_threshold, "m_upper": rep.m_upper, "mode": rep.mode,
+            "within_proof_range": rep.within_proof_range,
+            "rows": [
+                {
+                    "m": row.m, "delta_min": row.delta_min,
+                    "ratio": {"num": row.ratio_num, "den": row.ratio_den},
+                    "ratio_decimal": row.ratio_decimal, "exceeds_threshold": row.exceeds_threshold,
+                }
+                for row in rep.rows
+            ],
+        },
+        lambda: "n,m,r,mode,delta_min,ratio_num,ratio_den,ratio_decimal,exceeds_threshold\n" + "".join(
+            f"{rep.n},{row.m},{rep.r},{rep.mode},{row.delta_min},"
+            f"{row.ratio_num},{row.ratio_den},{row.ratio_decimal},{row.exceeds_threshold}\n"
+            for row in rep.rows
+        ),
         lambda: [
             f"r={rep.r} n={rep.n} epsilon={rep.epsilon_num}/{rep.epsilon_den} "
             f"delta={rep.delta_num}/{rep.delta_den} window=({rep.m_threshold},{rep.m_upper}]"

@@ -61,8 +61,6 @@ REGIME_AT = "at-threshold"
 REGIME_ABOVE = "above-threshold"
 REGIME_NO_CLIQUE = "no-r-clique"  # r > n: the bound needs n >= r
 
-CSV_HEADER = "n,m,r,mode,delta_min,ratio_num,ratio_den,witness_g6,graphs_examined"
-
 
 @dataclass(frozen=True)
 class ScanRecord:
@@ -159,18 +157,22 @@ def _min_scan_range(args) -> tuple[Optional[int], Optional[tuple[int, ...]]]:
     (None, None) when the shard holds no labeling.  The labelings come in
     ascending encoding order, so the first minimizer met is the shard's
     least, and the kernel aborts on every graph that cannot beat the best
-    so far.  The chunks are this shard's least swap-least encoding; only
-    the merge over all shards is canonical.  Top-level so it can run in
-    worker processes.
+    so far: any value it returns is a new best.  The shard stops at its
+    first value 0, below which nothing lies: a graph with no r-clique, which
+    every cell with m <= t_{r-1}(n) or r > n holds (for r = 1, only m = 0).
+    The chunks are this shard's least swap-least encoding; only the merge
+    over all shards is canonical.  Top-level so it can run in worker
+    processes.
     """
     n, m, r, part, parts = args
     best_val: Optional[int] = None
     best_chunks: Optional[tuple[int, ...]] = None
     for adj, degs in _least_adjs(n, m, part, parts):
         val = max_degree_sum_value(adj, degs, r, abort_above=None if best_val is None else best_val - 1)
-        # a graph with no r-clique gives 0 without an abort, even when best_val is 0
-        if val is not None and (best_val is None or val < best_val):
+        if val is not None:
             best_val, best_chunks = val, _column_chunks(adj, n)
+            if not val:
+                break
     return best_val, best_chunks
 
 
@@ -778,64 +780,3 @@ def verify_all(
         counterexamples=tuple(counterexamples),
         skipped_pairs=skipped,
     )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def record_to_dict(rec: ScanRecord) -> dict:
-    return {
-        "n": rec.n,
-        "m": rec.m,
-        "r": rec.r,
-        "mode": rec.mode,
-        "delta_min": rec.delta_min,
-        "witness": rec.witness_g6,
-        "lower_2rm_over_n": {"num": rec.ratio_num, "den": rec.ratio_den},
-        "graphs_examined": rec.graphs_examined,
-        "regime": rec.regime,
-    }
-
-
-def records_to_csv(records: list[ScanRecord]) -> str:
-    lines = [CSV_HEADER]
-    for rec in records:
-        lines.append(
-            f"{rec.n},{rec.m},{rec.r},{rec.mode},{rec.delta_min},"
-            f"{rec.ratio_num},{rec.ratio_den},{rec.witness_g6},{rec.graphs_examined}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def stability_report_to_dict(rep: StabilityReport) -> dict:
-    return {
-        "r": rep.r,
-        "n": rep.n,
-        "epsilon": {"num": rep.epsilon_num, "den": rep.epsilon_den},
-        "delta": {"num": rep.delta_num, "den": rep.delta_den},
-        "m_threshold": rep.m_threshold,
-        "m_upper": rep.m_upper,
-        "mode": rep.mode,
-        "within_proof_range": rep.within_proof_range,
-        "rows": [
-            {
-                "m": row.m,
-                "delta_min": row.delta_min,
-                "ratio": {"num": row.ratio_num, "den": row.ratio_den},
-                "ratio_decimal": row.ratio_decimal,
-                "exceeds_threshold": row.exceeds_threshold,
-            }
-            for row in rep.rows
-        ],
-    }
-
-
-def stability_report_to_csv(rep: StabilityReport) -> str:
-    lines = ["n,m,r,mode,delta_min,ratio_num,ratio_den,ratio_decimal,exceeds_threshold"]
-    for row in rep.rows:
-        lines.append(
-            f"{rep.n},{row.m},{rep.r},{rep.mode},{row.delta_min},"
-            f"{row.ratio_num},{row.ratio_den},{row.ratio_decimal},{row.exceeds_threshold}"
-        )
-    return "\n".join(lines) + "\n"

@@ -132,25 +132,34 @@ def to_edge_list_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _nonblank_lines(text: str) -> list[tuple[int, str]]:
+    """The lines of ``text`` that hold more than whitespace, each with its line
+    number in ``text`` (from 1), which is the offset of every error about it."""
+    return [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+
+
 def from_edge_list_text(text: str, cap: int = VERTEX_CAP) -> Graph:
     """Parse the "n m" / "u v" edge-list format; strict about counts and ranges."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    return _edge_list(_nonblank_lines(text), cap)
+
+
+def _edge_list(lines: list[tuple[int, str]], cap: int) -> Graph:
     if not lines:
         raise Graph6ParseError("empty edge-list input", 0)
-    head = lines[0].split()
+    head_at, head = lines[0][0], lines[0][1].split()
     if len(head) != 2:
-        raise Graph6ParseError("header must be 'n m'", 1)
+        raise Graph6ParseError("header must be 'n m'", head_at)
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise Graph6ParseError("header must be two integers", 1) from None
+        raise Graph6ParseError("header must be two integers", head_at) from None
     if n < 0 or m < 0:
-        raise Graph6ParseError("header values must be nonnegative", 1)
+        raise Graph6ParseError("header values must be nonnegative", head_at)
     _check_vertex_count(n, cap)
     if len(lines) - 1 != m:
-        raise Graph6ParseError(f"expected {m} edge lines, got {len(lines) - 1}", len(lines))
+        raise Graph6ParseError(f"expected {m} edge lines, got {len(lines) - 1}", lines[-1][0])
     adj = [0] * n
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         pair = line.split()
         if len(pair) != 2:
             raise Graph6ParseError("edge line must be 'u v'", lineno)
@@ -172,7 +181,7 @@ def from_edge_list_text(text: str, cap: int = VERTEX_CAP) -> Graph:
 def load_graph_text(text: str, cap: int = VERTEX_CAP) -> Graph:
     """Read either format: an edge list if the first line is two integers, else
     one graph6 line, after which only blank lines may follow."""
-    lines = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    lines = _nonblank_lines(text)
     first = lines[0][1].lstrip() if lines else ""
     fields = first.split()
     if len(fields) == 2:
@@ -181,7 +190,7 @@ def load_graph_text(text: str, cap: int = VERTEX_CAP) -> Graph:
         except ValueError:
             pass
         else:
-            return from_edge_list_text(text, cap=cap)
+            return _edge_list(lines, cap)
     if len(lines) > 1:
         raise Graph6ParseError("one graph per input: a second graph6 line follows", lines[1][0])
     return from_graph6(first, cap=cap)

@@ -24,12 +24,11 @@ from cliquedeg import (
     StabilityParams,
 )
 from cliquedeg.canonical import _canonical_chunks
+from cliquedeg.cli import main
 from cliquedeg.extremal import (
     MAX_RESTARTS,
     MAX_WORKERS,
     _best_swap,
-    records_to_csv,
-    stability_report_to_csv,
 )
 from cliquedeg.greedy import _floor_failure, _mean_failure
 
@@ -44,6 +43,7 @@ from oracles import (
     naive_least_minimizer_g6,
     naive_local_search,
     naive_min_over_graphs,
+    naive_r_cliques,
     naive_swap_least,
 )
 
@@ -319,9 +319,9 @@ def test_canonical_mode_at_n8_matches_oracle():
 
 def test_sharded_scan_identical_to_single_worker():
     for r in (2, 3, 4):
-        single = records_to_csv(scan_m(6, r, 11, 13, workers=1))
+        single = scan_m(6, r, 11, 13, workers=1)
         for workers in (2, 3, 4):
-            assert records_to_csv(scan_m(6, r, 11, 13, workers=workers)) == single, (r, workers)
+            assert scan_m(6, r, 11, 13, workers=workers) == single, (r, workers)
 
 
 def test_arbitrary_shard_partitions_merge_identically():
@@ -347,7 +347,13 @@ def test_arbitrary_shard_partitions_merge_identically():
     assert empty
 
 
-# scan_m CSV written by the lexicographic scan; the walk order must change no value or witness
+def _cli_csv_lines(capsys, *argv):
+    """The lines ``cliquedeg ... --format csv`` prints after its audit line."""
+    assert main([*map(str, argv), "--format", "csv"]) == 0
+    return capsys.readouterr().out.splitlines(keepends=True)[1:]
+
+
+# scan CSV written by the lexicographic scan; the walk order must change no value or witness
 GOLDEN_RECORDS = {
     (7, 4, 17, 19): """\
 n,m,r,mode,delta_min,ratio_num,ratio_den,witness_g6,graphs_examined
@@ -397,8 +403,10 @@ n,m,r,mode,delta_min,ratio_num,ratio_den,witness_g6,graphs_examined
 
 
 @pytest.mark.parametrize("cell", GOLDEN_RECORDS, ids=lambda c: "n{}-r{}-m{}..{}".format(*c))
-def test_scan_records_match_golden_csv(cell):
-    assert records_to_csv(scan_m(*cell)) == GOLDEN_RECORDS[cell]
+def test_scan_records_match_golden_csv(cell, capsys):
+    n, r, m_from, m_to = cell
+    lines = _cli_csv_lines(capsys, "scan", "--n", n, "--r", r, "--m-from", m_from, "--m-to", m_to)
+    assert "".join(lines) == GOLDEN_RECORDS[cell]
 
 
 def test_scan_values_rise_through_threshold():
@@ -447,6 +455,42 @@ def test_every_cell_is_checked_before_the_first_scan(monkeypatch):
     with pytest.raises(ValueError):
         scan_m(6, 2, 0, 16)
     assert len(calls) == 0
+
+
+def test_exact_scan_stops_at_its_first_zero(monkeypatch):
+    """Nothing lies below 0, and a later 0 has a greater encoding, so a shard
+    stops at its first labeling with no r-clique; (7, 10, 4) took 3,832
+    kernel calls without the stop, and takes one."""
+    import cliquedeg.extremal as ext
+
+    calls = []
+    kernel = ext.max_degree_sum_value
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(ext, "max_degree_sum_value", counting)
+    assert ext._min_scan_range((7, 10, 4, 0, 1)) == (0, (0, 0, 0, 0, 15, 63))
+    assert len(calls) == 1
+    stops = 0
+    for n in range(2, 7):
+        for r in range(2, n + 2):
+            for m in range(n * (n - 1) // 2 + 1):
+                first = next(
+                    (
+                        i for i, (rows, _) in enumerate(ext._least_adjs(n, m))
+                        if not naive_r_cliques(n, _edge_set(rows), r)
+                    ),
+                    None,
+                )
+                if first is None:
+                    continue
+                calls.clear()
+                assert ext._min_scan_range((n, m, r, 0, 1))[0] == 0, (n, m, r)
+                assert len(calls) == first + 1, (n, m, r)
+                stops += first > 0
+    assert stops
 
 
 def test_workers_cap_raises_before_any_pool():
@@ -584,12 +628,15 @@ GOLDEN_LOCAL_SEARCH_CSV = r"""n,m,r,mode,delta_min,ratio_num,ratio_den,witness_g
 """
 
 
-def test_local_search_records_match_golden_csv():
-    records = [
-        extremal_degree_sum_local_search(n, m, r, seed=seed, restarts=restarts)
-        for n, m, r, seed, restarts in GOLDEN_LOCAL_SEARCH_CELLS
-    ]
-    assert records_to_csv(records) == GOLDEN_LOCAL_SEARCH_CSV
+def test_local_search_records_match_golden_csv(capsys):
+    rows = []
+    for n, m, r, seed, restarts in GOLDEN_LOCAL_SEARCH_CELLS:
+        header, row = _cli_csv_lines(
+            capsys, "extremal", "--n", n, "--m", m, "--r", r, "--mode", "local-search",
+            "--seed", seed, "--restarts", restarts,
+        )
+        rows.append(row)
+    assert header + "".join(rows) == GOLDEN_LOCAL_SEARCH_CSV
 
 
 def test_local_search_matches_naive_oracle():
@@ -747,6 +794,11 @@ def test_stability_params():
     for eps in ("1/4", None, 0.25):  # typed first: "<" on a string or None raises TypeError
         with pytest.raises(ValueError, match="exact rational"):
             StabilityParams(epsilon=eps, r=2, n=5)
+    for r, n, message in (
+        (1, 7, "clique size must be at least 2, got 1"), (4, 3, "need n >= r, got n=3, r=4"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            StabilityParams(epsilon=Fraction(1, 4), r=r, n=n)
 
 
 def test_stability_small_table():
@@ -763,9 +815,7 @@ def test_stability_small_table():
 
 def test_stability_csv_stable():
     params = StabilityParams(epsilon=Fraction(1, 8), r=2, n=6)
-    a = stability_report_to_csv(stability_experiment(params, workers=1))
-    b = stability_report_to_csv(stability_experiment(params, workers=2))
-    assert a == b
+    assert stability_experiment(params, workers=1) == stability_experiment(params, workers=2)
 
 
 def test_verify_all_counts():

@@ -91,23 +91,22 @@ def test_optional_header_accepted():
 
 
 def test_parse_errors_with_offset():
-    with pytest.raises(Graph6ParseError):
-        from_graph6("")
-    with pytest.raises(Graph6ParseError) as e:
-        from_graph6("D?")  # truncated bit field for n=5
-    assert e.value.offset == 2
-    with pytest.raises(Graph6ParseError) as e:
-        from_graph6("A_?")  # trailing byte
-    assert e.value.offset == 2
-    with pytest.raises(Graph6ParseError) as e:
-        from_graph6("A" + chr(20))  # byte below 63
-    assert e.value.offset == 1
-    with pytest.raises(Graph6ParseError):
-        from_graph6("A" + chr(127))
-    with pytest.raises(Graph6ParseError):
-        from_graph6("@_")  # n=1 has no bit field
-    with pytest.raises(Graph6ParseError):
-        from_graph6("Ao")  # nonzero padding for n=2
+    for text, message, offset in (
+        ("", "empty graph6 string", 0),
+        ("D?", "truncated bit field", 2),  # n = 5
+        ("A_?", "trailing bytes", 2),
+        ("A" + chr(20), "outside graph6 range", 1),
+        ("A" + chr(127), "outside graph6 range", 1),
+        ("@_", "trailing bytes", 1),  # n = 1 has no bit field
+        ("Ao", "nonzero padding", 1),  # n = 2
+        ("~", "truncated extended size header", 1),
+        ("~??", "truncated extended size header", 3),
+        ("~??}", "non-canonical extended header for n=62", 0),
+        ("~~??????", "8-byte size header not supported", 0),
+    ):
+        with pytest.raises(Graph6ParseError, match=message) as info:
+            from_graph6(text)
+        assert info.value.offset == offset, text
 
 
 def test_parse_respects_cap():
@@ -126,24 +125,38 @@ def test_edge_list_round_trip():
 
 
 def test_edge_list_errors():
-    with pytest.raises(Graph6ParseError):
-        from_edge_list_text("")
-    with pytest.raises(Graph6ParseError):
-        from_edge_list_text("3\n")
-    with pytest.raises(Graph6ParseError):
-        from_edge_list_text("3 2\n0 1\n")  # missing edge line
-    with pytest.raises(Graph6ParseError):
-        from_edge_list_text("3 1\n0 3\n")  # out of range
-    with pytest.raises(Graph6ParseError):
-        from_edge_list_text("3 2\n0 1\n0 1\n")  # duplicate
-    with pytest.raises(Graph6ParseError):
-        from_edge_list_text("3 1\n1 1\n")  # loop
+    # the offset is the line in the text, blank lines counted
+    for text, message, offset in (
+        ("", "empty edge-list input", 0),
+        ("3\n", "header must be 'n m'", 1),
+        ("3 2\n0 1\n", "expected 2 edge lines, got 1", 2),
+        ("3 1\n0 3\n", "out of range", 2),
+        ("3 2\n0 1\n0 1\n", "duplicate edge", 3),
+        ("3 1\n1 1\n", "loop edge", 2),
+        ("3 x\n", "header must be two integers", 1),
+        ("\n3 -1\n", "header values must be nonnegative", 2),
+        ("3 1\n0 1 2\n", "edge line must be 'u v'", 2),
+        ("3 1\n0 a\n", "edge line must be two integers", 2),
+        ("3 1\n\n\n0 3\n", "out of range", 4),
+        ("\n\n3 1\n0 1 2\n", "edge line must be 'u v'", 4),
+    ):
+        with pytest.raises(Graph6ParseError, match=message) as info:
+            from_edge_list_text(text)
+        assert info.value.offset == offset, text
+        if not message.startswith(("empty", "header must")):  # a first line of two integers
+            with pytest.raises(Graph6ParseError, match=message) as info:
+                load_graph_text(text)
+            assert info.value.offset == offset, text
 
 
 def test_load_autodetect():
     g = from_edges(4, [(0, 1), (2, 3)])
     assert load_graph_text(to_graph6(g) + "\n") == g
     assert load_graph_text(to_edge_list_text(g)) == g
+    # a first line of two fields that are not both integers is read as graph6
+    with pytest.raises(Graph6ParseError, match="outside graph6 range") as info:
+        load_graph_text("3 x\n")
+    assert info.value.offset == 0
 
 
 def test_load_takes_one_graph6_line():
