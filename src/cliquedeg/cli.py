@@ -60,7 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--restarts", type=int, default=4)
         p.add_argument("--iter-budget", type=int, default=200)
         p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--max-graphs", type=int, default=None)
 
     p = sub.add_parser("turan", help="balanced r-partite part sizes and edge count")
     p.add_argument("--r", type=int, required=True)
@@ -104,7 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--r", required=True, help="comma-separated clique sizes, e.g. 2,3")
     p.add_argument("--mode", choices=EXACT_MODES, default="exhaustive")
-    p.add_argument("--max-graphs", type=int, default=None)
     add_output_flags(p)
 
     return parser
@@ -203,7 +201,6 @@ def _cmd_scan(args, m_from: int, m_to: int) -> int:
     records = scan_m(
         args.n, args.r, m_from, m_to, mode=args.mode, seed=args.seed,
         restarts=args.restarts, iter_budget=args.iter_budget, workers=args.workers,
-        max_graphs=args.max_graphs,
     )
     _report(
         args,
@@ -243,7 +240,7 @@ def _cmd_stability(args) -> int:
     params = StabilityParams(epsilon=epsilon, r=args.r, n=args.n)
     rep = stability_experiment(
         params, mode=args.mode, seed=args.seed, restarts=args.restarts,
-        iter_budget=args.iter_budget, workers=args.workers, max_graphs=args.max_graphs,
+        iter_budget=args.iter_budget, workers=args.workers,
     )
     _report(
         args,
@@ -281,7 +278,7 @@ def _cmd_stability(args) -> int:
 
 def _cmd_verify(args) -> int:
     r_set = [int(tok) for tok in args.r.split(",") if tok.strip()]
-    rep = verify_all(args.n_max, r_set, mode=args.mode, max_graphs=args.max_graphs)
+    rep = verify_all(args.n_max, r_set, mode=args.mode)
     _report(
         args,
         lambda: dataclasses.asdict(rep),

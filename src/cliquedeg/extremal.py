@@ -205,13 +205,13 @@ def _make_record(n, m, r, mode, value, chunks: tuple[int, ...], examined) -> Sca
 
 def _check_cells(
     n: int, r: int, ms, mode: str, modes=MODES, *, workers: int = 1,
-    max_graphs: Optional[int] = None, restarts: int = 0, iter_budget: int = 0,
+    restarts: int = 0, iter_budget: int = 0,
 ) -> None:
     """Every argument check of a search in ``mode`` (one of ``modes``) over the cells
     (n, m, r) for m in ``ms``: the shared arguments and ranges in every mode, then
     each m in order, so a bad cell raises before any cell is searched and an empty
-    range still checks.  Local search enforces no worker count or graph limit, so
-    it refuses them rather than ignore them; the C(N, m) limit is exact modes' own."""
+    range still checks.  Local search runs in one process, so it refuses a worker
+    count rather than ignore it."""
     if n < 1:
         raise ValueError(f"vertex count must be at least 1, got {n}")
     if r < 1:
@@ -227,23 +227,16 @@ def _check_cells(
         raise ValueError(f"worker count must be at least 1, got {workers}")
     if workers > MAX_WORKERS:
         raise ResourceLimitError(f"worker count {workers} exceeds cap {MAX_WORKERS}")
-    if max_graphs is not None and max_graphs < 0:
-        raise ValueError(f"max-graphs limit must be nonnegative, got {max_graphs}")
     if restarts < 0 or iter_budget < 0:
         raise ValueError("restarts and iter-budget must be nonnegative")
     if restarts > MAX_RESTARTS:
         raise ResourceLimitError(f"restart count {restarts} exceeds cap {MAX_RESTARTS}")
-    if mode == LOCAL_SEARCH and (workers != 1 or max_graphs is not None):
-        raise ValueError(
-            f"local search takes one worker and no max-graphs limit, "
-            f"got workers={workers}, max-graphs={max_graphs}"
-        )
+    if mode == LOCAL_SEARCH and workers != 1:
+        raise ValueError(f"local search takes one worker, got workers={workers}")
     nslots = n * (n - 1) // 2
     for m in ms:
         if m < 0 or m > nslots:
             raise ValueError(f"edge count {m} outside 0..{nslots}")
-        if max_graphs is not None and (total := math.comb(nslots, m)) > max_graphs:
-            raise ResourceLimitError(f"{total} graphs exceed max-graphs limit {max_graphs}")
 
 
 def extremal_degree_sum_min(
@@ -252,7 +245,6 @@ def extremal_degree_sum_min(
     r: int,
     mode: str = "exhaustive",
     workers: int = 1,
-    max_graphs: Optional[int] = None,
 ) -> ScanRecord:
     """Exact minimum over all labeled (n, m)-graphs of the max r-clique degree sum.
 
@@ -261,7 +253,7 @@ def extremal_degree_sum_min(
     covers every relabeling of each; the kernel sees only the swap-least
     ones, which include that least relabeling.
     """
-    _check_cells(n, r, (m,), mode, EXACT_MODES, workers=workers, max_graphs=max_graphs)
+    _check_cells(n, r, (m,), mode, EXACT_MODES, workers=workers)
     total = math.comb(n * (n - 1) // 2, m)
     if workers == 1 or total < 2 * workers:
         parts = [_min_scan_range((n, m, r, 0, 1))]
@@ -516,16 +508,12 @@ def scan_m(
     restarts: int = 4,
     iter_budget: int = 200,
     workers: int = 1,
-    max_graphs: Optional[int] = None,
 ) -> list[ScanRecord]:
     """One record per edge count in [m_from, m_to]; empty range gives an empty list.
 
     Every argument of every cell is checked before the first search."""
     ms = range(m_from, m_to + 1)
-    _check_cells(
-        n, r, ms, mode, workers=workers, max_graphs=max_graphs,
-        restarts=restarts, iter_budget=iter_budget,
-    )
+    _check_cells(n, r, ms, mode, workers=workers, restarts=restarts, iter_budget=iter_budget)
     if mode == LOCAL_SEARCH:
         return [
             extremal_degree_sum_local_search(
@@ -533,25 +521,23 @@ def scan_m(
             )
             for m in ms
         ]
-    return [
-        extremal_degree_sum_min(n, m, r, mode=mode, workers=workers, max_graphs=max_graphs)
-        for m in ms
-    ]
+    return [extremal_degree_sum_min(n, m, r, mode=mode, workers=workers) for m in ms]
 
 
 def band_violation(rec: ScanRecord) -> Optional[str]:
     """The two-sided bound 2rm <= value*n < 2rm + rn, checked when m is at or
     above the threshold and n >= r, as the paper states it (records with
-    r > n carry the regime ``no-r-clique``); only exact modes can witness a
-    violation."""
-    if rec.mode not in EXACT_MODES or rec.regime in (REGIME_BELOW, REGIME_NO_CLIQUE):
+    r > n carry the regime ``no-r-clique``).  A local-search value is the
+    value of a graph the search holds, an upper bound on the minimum, so it
+    can witness a violation of the lower side only; exact modes check both."""
+    if rec.regime in (REGIME_BELOW, REGIME_NO_CLIQUE):
         return None
     lhs = rec.delta_min * rec.n
     lo = 2 * rec.r * rec.m
     hi = lo + rec.r * rec.n
     if lhs < lo:
         return f"delta_min*n = {lhs} < 2rm = {lo}"
-    if lhs >= hi:
+    if lhs >= hi and rec.mode in EXACT_MODES:
         return f"delta_min*n = {lhs} >= 2rm + rn = {hi}"
     return None
 
@@ -633,7 +619,6 @@ def stability_experiment(
     restarts: int = 4,
     iter_budget: int = 200,
     workers: int = 1,
-    max_graphs: Optional[int] = None,
 ) -> StabilityReport:
     """Ratio table value*n/(2rm) over the window just below the threshold.
 
@@ -645,7 +630,7 @@ def stability_experiment(
     upper = turan_size(r, n)
     records = scan_m(
         n, r, max(params.m_threshold + 1, 1), upper, mode=mode, seed=seed,
-        restarts=restarts, iter_budget=iter_budget, workers=workers, max_graphs=max_graphs,
+        restarts=restarts, iter_budget=iter_budget, workers=workers,
     )
     rows = []
     for rec in records:
@@ -691,7 +676,6 @@ def verify_all(
     n_max: int,
     r_set: list[int] | tuple[int, ...],
     mode: str = "exhaustive",
-    max_graphs: Optional[int] = None,
 ) -> VerifyReport:
     """Run both greedy checks on every graph in range and the two-sided bound
     on every exact minimum; every violation carries its graph as graph6.
@@ -722,14 +706,7 @@ def verify_all(
             f"verify plan holds no cell: n_max={n_max}, clique sizes {rs_all} "
             "(need n_max >= 2 and some clique size at most n_max)"
         )
-    plan = []  # (n, clique sizes, their thresholds, edge counts), all checked up front
-    for n in range(2, n_max + 1):
-        rs = [r for r in rs_all if r <= n]
-        if rs:
-            thresholds = {r: turan_size(r, n) for r in rs}
-            ms = range(min(thresholds.values()), n * (n - 1) // 2 + 1)
-            _check_cells(n, rs[0], ms, mode, EXACT_MODES, max_graphs=max_graphs)
-            plan.append((n, rs, thresholds, ms))
+    _check_cells(n_max, rs_all[0], (), mode, EXACT_MODES)  # the mode; the rest is checked above
     counterexamples: list[dict] = []
     graphs_examined = 0
     cells = 0
@@ -746,8 +723,12 @@ def verify_all(
             }
         )
 
-    for n, rs, thresholds, ms in plan:
-        for m in ms:
+    for n in range(2, n_max + 1):
+        rs = [r for r in rs_all if r <= n]
+        if not rs:
+            continue
+        thresholds = {r: turan_size(r, n) for r in rs}
+        for m in range(min(thresholds.values()), n * (n - 1) // 2 + 1):
             active = [r for r in rs if thresholds[r] <= m]
             kept = 0
             for adj, degs in _least_adjs(n, m):

@@ -180,9 +180,9 @@ def _edge_list(lines: list[tuple[int, str]], cap: int) -> Graph:
 
 def load_graph_text(text: str, cap: int = VERTEX_CAP) -> Graph:
     """Read either format: an edge list if the first line is two integers, else
-    one graph6 line, after which only blank lines may follow."""
+    one graph6 line, stripped at both ends, after which only blank lines may follow."""
     lines = _nonblank_lines(text)
-    first = lines[0][1].lstrip() if lines else ""
+    first = lines[0][1].strip() if lines else ""
     fields = first.split()
     if len(fields) == 2:
         try:

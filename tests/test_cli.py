@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -128,19 +129,14 @@ def test_exit_codes_on_errors(capsys, tmp_path):
         "--mode", "local-search", "--restarts", str(MAX_RESTARTS + 1),
     )
     assert code == 1 and "cap" in err
-    code, out, err = run_cli(
-        capsys, "extremal", "--n", "5", "--m", "4", "--r", "2", "--max-graphs", "-1"
-    )
-    assert code == 1 and out == ""
-    assert err == "cliquedeg: error: max-graphs limit must be nonnegative, got -1\n"
-    # no search starts: local search refuses limits it cannot enforce, exact modes check restarts
+    # no search starts: local search refuses a worker count, exact modes check restarts
     ls = "extremal --n 9 --m 20 --r 3 --mode local-search --restarts 0".split()
-    for extra in (
-        ("--max-graphs", "1"), ("--max-graphs", "-5"), ("--workers", str(MAX_WORKERS + 1)),
-        ("--workers", "0"), ("--workers", "2"),
-    ):
-        code, out, err = run_cli(capsys, *ls, *extra)
-        assert code == 1 and out == "" and err.startswith("cliquedeg: error: "), extra
+    for workers in (str(MAX_WORKERS + 1), "0"):
+        code, out, err = run_cli(capsys, *ls, "--workers", workers)
+        assert code == 1 and out == "" and err.startswith("cliquedeg: error: "), workers
+    code, out, err = run_cli(capsys, *ls, "--workers", "2")
+    assert code == 1 and out == ""
+    assert err == "cliquedeg: error: local search takes one worker, got workers=2\n"
     code, out, err = run_cli(capsys, *"extremal --n 5 --m 4 --r 2 --restarts -5".split())
     assert code == 1 and out == ""
     assert err == "cliquedeg: error: restarts and iter-budget must be nonnegative\n"
@@ -156,6 +152,23 @@ def test_exit_codes_on_errors(capsys, tmp_path):
     two.write_text("Bw\nCF\n")
     code, out, err = run_cli(capsys, "delta", "--input", str(two), "--r", "2")
     assert code == 1 and out == "" and "one graph per input" in err and "(offset 2)" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "extremal --n 5 --m 6 --r 2",
+        "scan --n 5 --r 2 --m-from 6 --m-to 7",
+        "stability --n 5 --r 2 --epsilon 1/4",
+        "verify --n-max 5 --r 2",
+    ],
+    ids=["extremal", "scan", "stability", "verify"],
+)
+def test_max_graphs_is_not_an_option(argv, capsys):
+    # the n <= 8 cap is the exact paths' one work limit; no graph-count limit is taken
+    code, out, err = run_cli(capsys, *argv.split(), "--max-graphs", "1000000000")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --max-graphs 1000000000" in err
 
 
 def test_turan_part_count_over_cap_exits_1(capsys):
@@ -192,12 +205,32 @@ def test_violation_exit_code_path():
     )
     assert band_violation(good) is None
     assert _records_exit([good]) == 0
-    # heuristic records never claim violations, band is about true minima
+    # a local-search value is an upper bound on the minimum: it cannot refute the
+    # upper side of the band, but a value below 2rm/n is a graph that refutes the lower
     heur = ScanRecord(
         n=4, m=4, r=2, mode="local-search", delta_min=99, witness_g6="C~",
         ratio_num=4, ratio_den=1, graphs_examined=15, regime="at-threshold",
     )
     assert band_violation(heur) is None
+    low = dataclasses.replace(heur, delta_min=3)
+    assert band_violation(low) == "delta_min*n = 12 < 2rm = 16"
+    assert _records_exit([heur, low]) == 2
+
+
+def test_local_search_violation_exits_2_with_its_witness(capsys, monkeypatch):
+    # no real counterexample exists, so make the kernel report no r-clique anywhere
+    import cliquedeg.extremal as ext
+
+    monkeypatch.setattr(ext, "max_degree_sum_value", lambda *args, **kwargs: 0)
+    argv = "extremal --n 9 --m 27 --r 3 --mode local-search --restarts 0".split()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert "delta_min=0" in out and "witness=HUzvvx}" in out
+    assert out.splitlines()[-1] == "VIOLATION n=9 m=27 r=3: delta_min*n = 0 < 2rm = 162"
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 2
+    [rec] = json.loads(out)["result"]
+    assert (rec["delta_min"], rec["witness"]) == (0, "HUzvvx}")
 
 
 @pytest.mark.parametrize(

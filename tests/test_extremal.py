@@ -430,11 +430,6 @@ def test_scan_empty_range():
     assert scan_m(5, 2, 7, 6) == []
 
 
-def test_max_graphs_guard():
-    with pytest.raises(ResourceLimitError):
-        extremal_degree_sum_min(6, 7, 2, max_graphs=100)
-
-
 def test_every_cell_is_checked_before_the_first_scan(monkeypatch):
     import cliquedeg.extremal as ext
 
@@ -446,14 +441,15 @@ def test_every_cell_is_checked_before_the_first_scan(monkeypatch):
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(ext, "max_degree_sum_value", counting)
-    with pytest.raises(ResourceLimitError):
-        verify_all(6, [2], max_graphs=1000)
-    assert len(calls) == 0
-    with pytest.raises(ResourceLimitError):
-        scan_m(6, 2, 0, 15, max_graphs=1000)
-    assert len(calls) == 0
     with pytest.raises(ValueError):
         scan_m(6, 2, 0, 16)
+    assert len(calls) == 0
+    # verify checks its mode once, before the greedy checks of its first cell
+    monkeypatch.setattr(ext, "greedy_prefix_extremes", counting)
+    with pytest.raises(
+        ValueError, match="unknown mode 'local-search'; expected one of exhaustive, canonical$"
+    ):
+        verify_all(5, [2, 3], mode="local-search")
     assert len(calls) == 0
 
 
@@ -559,41 +555,27 @@ def test_empty_ranges_still_check_their_arguments():
             scan_m(0, 2, 3, 2, mode=mode)
     with pytest.raises(ValueError, match="worker count must be at least 1"):
         scan_m(5, 2, 3, 2, workers=0)
-    # the max-graphs limit is per cell, so it needs a cell: C(10, 3) = 120
-    with pytest.raises(ResourceLimitError, match="120 graphs exceed max-graphs limit 100"):
-        scan_m(5, 2, 3, 4, max_graphs=100)
     with pytest.raises(
         ValueError, match="unknown mode 'local-search'; expected one of exhaustive, canonical$"
     ):
         extremal_degree_sum_min(5, 3, 2, mode="local-search")
     assert scan_m(5, 2, 3, 2) == []
     assert scan_m(5, 2, 3, 2, mode="local-search") == []
-    for mode in ("exhaustive", "canonical"):
-        with pytest.raises(ValueError, match="max-graphs limit must be nonnegative, got -1"):
-            scan_m(5, 2, 3, 2, mode=mode, max_graphs=-1)
-    with pytest.raises(ValueError, match="max-graphs limit must be nonnegative, got -1"):
-        verify_all(5, [2], max_graphs=-1)
-    with pytest.raises(ValueError, match="max-graphs limit must be nonnegative, got -1"):
-        stability_experiment(StabilityParams(Fraction(1, 4), 2, 5), max_graphs=-1)
-    # every range is checked in every mode, and local search refuses the limits it cannot enforce
+    # every range is checked in every mode, and local search refuses a worker count
     with pytest.raises(ValueError, match="restarts and iter-budget must be nonnegative"):
         scan_m(5, 2, 3, 2, restarts=-5)
     with pytest.raises(ValueError, match="restarts and iter-budget must be nonnegative"):
         scan_m(5, 2, 3, 2, mode="canonical", iter_budget=-1)
     with pytest.raises(ResourceLimitError, match="restart count 10001 exceeds cap"):
         scan_m(5, 2, 3, 2, restarts=10_001)
-    with pytest.raises(ValueError, match="max-graphs limit must be nonnegative, got -5"):
-        scan_m(5, 2, 3, 2, mode="local-search", max_graphs=-5)
     with pytest.raises(ResourceLimitError, match="worker count 99 exceeds cap"):
         scan_m(5, 2, 3, 2, mode="local-search", workers=99)
     with pytest.raises(ValueError, match="worker count must be at least 1, got 0"):
         scan_m(5, 2, 3, 2, mode="local-search", workers=0)
-    no_limits = "local search takes one worker and no max-graphs limit"
-    with pytest.raises(ValueError, match=f"{no_limits}, got workers=2, max-graphs=None"):
+    one_worker = "local search takes one worker"
+    with pytest.raises(ValueError, match=f"^{one_worker}, got workers=2$"):
         scan_m(5, 2, 3, 2, mode="local-search", workers=2)
-    with pytest.raises(ValueError, match=f"{no_limits}, got workers=1, max-graphs=1"):
-        scan_m(5, 2, 3, 2, mode="local-search", max_graphs=1)
-    with pytest.raises(ValueError, match=no_limits):
+    with pytest.raises(ValueError, match=one_worker):
         stability_experiment(StabilityParams(Fraction(1, 4), 2, 5), mode="local-search", workers=2)
 
 

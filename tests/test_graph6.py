@@ -163,6 +163,8 @@ def test_load_takes_one_graph6_line():
     g = from_edges(3, [(0, 1), (1, 2), (0, 2)])  # Bw
     text = to_graph6(g)
     assert load_graph_text("\n  " + text + "\n\n \t\n") == g
+    for trailing in (" \n", "\t\n", " \r\n"):  # whitespace at both ends, as edge-list lines
+        assert load_graph_text(text + trailing) == g, trailing
     for extra, lineno in (("\nCF\n", 2), ("\n\n  CF", 3), ("\n" + text, 2)):
         with pytest.raises(Graph6ParseError, match="one graph per input") as info:
             load_graph_text(text + extra)
