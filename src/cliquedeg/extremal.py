@@ -13,9 +13,17 @@ vertices j, j + 1 lowers at the j-th column (the cheap pre-test of Read's
 orderly generation); about 1% of the labelings at n = 7 are swap-least,
 and the least labeling of every graph is among them.  ``_least_adjs``
 generates them and no other labeling, column by column: column j + 1's
-chunk is taken from [chunk[j] << 1, 2^(j+1)).  Canonical-mode verify
-keeps, of those, the one labeling per isomorphism class that is its
-canonical form, so there graphs_examined counts classes.
+chunk is taken from [chunk[j] << 1, 2^(j+1)), from column tables built
+once per n (``_columns``).  Canonical-mode verify keeps, of those, the one
+labeling per isomorphism class that is its canonical form, so there
+graphs_examined counts classes.
+
+A scan's best value so far is a ceiling for the generator, the kernel's
+floor turned around: at r <= 3, where the bound is cheap, a subtree at
+column n - 2 or n - 1, below the column where shards are dealt, is skipped
+when its placed edges already hold an r-clique whose degree sum reaches
+the ceiling.  graphs_examined counts the labelings a scan covers, not the
+ones it visits.
 
 An exact witness is the minimizer with the least labeled encoding
 (graph6's column-order upper-triangle bits, vertices in index order,
@@ -38,11 +46,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from numbers import Rational
 from typing import Iterator, Optional
 
 from .canonical import CANONICAL_MAX_N, _canonical_chunks
-from .cliques import _clique_sums, max_degree_sum_value
+from .cliques import _best_clique, _clique_sums, max_degree_sum_value
 from .graph6 import _chunks_to_graph6, _column_chunks
 from .graphs import VERTEX_CAP, Graph, ResourceLimitError, _check_vertex_count, from_edges
 from .greedy import _floor_failure, _mean_failure, greedy_prefix_extremes
@@ -82,7 +91,23 @@ def _slots(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def _least_adjs(n: int, m: int, part: int = 0, parts: int = 1) -> Iterator[tuple[list[int], list[int]]]:
+@cache
+def _columns(n: int) -> tuple[tuple[tuple[int, int, int, tuple[int, ...]], ...], ...]:
+    """Column j's chunks for j < n, ascending: (chunk, edges, row of j below j,
+    those vertices).  Built once per n: every scan and verify cell reads it."""
+    columns = []
+    for j in range(n):
+        column = []
+        for c in range(1 << j):
+            below = tuple(j - 1 - b for b in range(j) if c >> b & 1)  # bit b is the pair (j - 1 - b, j)
+            column.append((c, len(below), sum(1 << i for i in below), below))
+        columns.append(tuple(column))
+    return tuple(columns)
+
+
+def _least_adjs(
+    n: int, m: int, part: int = 0, parts: int = 1, r: int = 2, ceiling: Optional[list[int]] = None
+) -> Iterator[tuple[list[int], list[int]]]:
     """(rows, degrees) of the swap-least labeled (n, m)-graphs, for
     0 <= m <= n(n-1)/2, in strictly ascending order of their column chunks.
 
@@ -104,19 +129,35 @@ def _least_adjs(n: int, m: int, part: int = 0, parts: int = 1) -> Iterator[tuple
     ``parts`` holds those whose index in search order is ``part`` modulo
     ``parts``; below n = 3 there is one subtree, in shard 0.  The same two
     lists are yielded every time; a caller that keeps a graph copies it.
+
+    ``ceiling``, a one-item list the consumer may lower between yields
+    (default None: every labeling), turns the kernel's floor around: a
+    subtree is skipped when each graph in it has an r-clique of degree sum
+    at least ``ceiling[0]``.  Placed edges are final and degrees only grow,
+    so once column j is placed with lower neighbours B (k = |B|), an
+    (r - 1)-clique of B plus j is an r-clique of every completion, with at
+    least its partial degree sum: for r = 2 the bound is
+    ``k + max(degs[i] for i in B)``, for r = 3 it is k plus B's best edge,
+    which the r = 2 kernel ``within`` B finds, aborting above
+    ``ceiling[0] - k - 1``.  The test runs only at columns n - 2 and n - 1,
+    after the shard index is counted: a skip above column n - 2 would leave
+    column-(n - 2) subtrees uncounted in one shard alone, and with a ceiling
+    per shard the shards would lose or share subtrees.  r >= 4 is not
+    pruned: its bound costs an (r - 1)-clique kernel call per placed column,
+    and (10, 37, 4) got slower.
     """
     nslots = n * (n - 1) // 2
-    columns = []  # column j's chunks, ascending: (chunk, edges, row of j below j, those vertices)
-    for j in range(n):
-        column = []
-        for c in range(1 << j):
-            below = [j - 1 - b for b in range(j) if c >> b & 1]  # bit b is the pair (j - 1 - b, j)
-            column.append((c, len(below), sum(1 << i for i in below), below))
-        columns.append(column)
+    columns = _columns(n)
     room = [nslots - j * (j + 1) // 2 for j in range(n)]  # edge slots in the columns after j
     rows = [0] * n
     degs = [0] * n
     index = -1  # subtrees at column n - 2 met so far
+    prune_from = n - 2 if ceiling is not None and r in (2, 3) else n
+
+    def beaten(k: int, row: int, below) -> bool:  # every completion's value is >= ceiling[0]
+        if r == 2:
+            return k + max(map(degs.__getitem__, below)) >= ceiling[0]
+        return _best_clique(rows, degs, 2, ceiling[0] - k - 1, row) is None
 
     def place(j: int, lo: int, left: int):  # columns 1..j-1 placed, ``left`` edges to go
         nonlocal index
@@ -136,7 +177,8 @@ def _least_adjs(n: int, m: int, part: int = 0, parts: int = 1) -> Iterator[tuple
             for i in below:
                 rows[i] |= bit
                 degs[i] += 1
-            yield from place(j + 1, c << 1, left - k)
+            if j < prune_from or k < r - 1 or not beaten(k, row, below):
+                yield from place(j + 1, c << 1, left - k)
             for i in below:
                 rows[i] ^= bit
                 degs[i] -= 1
@@ -157,23 +199,27 @@ def _min_scan_range(args) -> tuple[Optional[int], Optional[tuple[int, ...]]]:
     (None, None) when the shard holds no labeling.  The labelings come in
     ascending encoding order, so the first minimizer met is the shard's
     least, and the kernel aborts on every graph that cannot beat the best
-    so far: any value it returns is a new best.  The shard stops at its
-    first value 0, below which nothing lies: a graph with no r-clique, which
-    every cell with m <= t_{r-1}(n) or r > n holds (for r = 1, only m = 0).
-    The chunks are this shard's least swap-least encoding; only the merge
-    over all shards is canonical.  Top-level so it can run in worker
-    processes.
+    so far: any value it returns is a new best.  That best is also the
+    generator's ceiling, so for r <= 3 the generator skips the subtrees at
+    columns n - 2 and n - 1 whose every graph the kernel would abort on.
+    Before the first best the ceiling is 2m + 1, above every value (the sum
+    of all m edges' end degrees): nothing is skipped, and an abort above 2m
+    is no abort.  The shard stops at its first value 0, below which nothing
+    lies: a graph with no r-clique, which every cell with m <= t_{r-1}(n) or
+    r > n holds (for r = 1, only m = 0).  The chunks are this shard's least
+    swap-least encoding; only the merge over all shards is canonical.
+    Top-level so it can run in worker processes.
     """
     n, m, r, part, parts = args
-    best_val: Optional[int] = None
+    ceiling = [2 * m + 1]
     best_chunks: Optional[tuple[int, ...]] = None
-    for adj, degs in _least_adjs(n, m, part, parts):
-        val = max_degree_sum_value(adj, degs, r, abort_above=None if best_val is None else best_val - 1)
+    for adj, degs in _least_adjs(n, m, part, parts, r, ceiling):
+        val = max_degree_sum_value(adj, degs, r, abort_above=ceiling[0] - 1)
         if val is not None:
-            best_val, best_chunks = val, _column_chunks(adj, n)
+            ceiling[0], best_chunks = val, _column_chunks(adj, n)
             if not val:
                 break
-    return best_val, best_chunks
+    return (None, None) if best_chunks is None else (ceiling[0], best_chunks)
 
 
 def _regime(m: int, r: int, n: int) -> str:

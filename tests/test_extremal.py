@@ -42,6 +42,7 @@ from oracles import (
     naive_isomorphism_classes,
     naive_least_minimizer_g6,
     naive_local_search,
+    naive_max_clique_degree_sum,
     naive_min_over_graphs,
     naive_r_cliques,
     naive_swap_least,
@@ -327,23 +328,40 @@ def test_sharded_scan_identical_to_single_worker():
 def test_arbitrary_shard_partitions_merge_identically():
     """For every shard count, the shards are disjoint and together hold every
     swap-least labeling, and their merged minimum is the one-shard minimum;
-    an empty shard's value is None."""
+    an empty shard's value is None.  Every cell with n <= 7 runs, at r = 2
+    and 3, where each shard's ceiling prunes against that shard's own best.
+
+    A ceiling held at the cell's value, or one above it, keeps each shard to
+    a part of its own labelings, with every labeling whose value lies below
+    the ceiling.  A generator that prunes above column n - 2 breaks this,
+    since its shards miscount their subtrees, although no merged minimum at
+    n <= 8 shows it."""
     from cliquedeg.extremal import _least_adjs, _min_scan_range
 
     empty = 0
-    # (4, 1) and (6, 14) have fewer subtrees at column n - 2 than some shard counts
-    for n, m in ((5, 5), (6, 9), (4, 1), (6, 14)):
-        whole = [tuple(rows) for rows, _ in _least_adjs(n, m)]
-        for parts in range(1, 7):
-            shards = [[tuple(rows) for rows, _ in _least_adjs(n, m, part, parts)] for part in range(parts)]
-            assert sorted(sum(shards, [])) == sorted(whole), (n, m, parts)
-            for r in (2, 3):
-                one = _min_scan_range((n, m, r, 0, 1))
-                results = [_min_scan_range((n, m, r, part, parts)) for part in range(parts)]
-                for shard, result in zip(shards, results):
-                    assert (result == (None, None)) == (not shard), (n, m, parts)
-                    empty += not shard
-                assert min(p for p in results if p[0] is not None) == one, (n, m, r, parts)
+    # (4, 1) and (6, 14), among others, have fewer subtrees at column n - 2 than some shard counts
+    for n in range(2, 8):
+        for m in range(n * (n - 1) // 2 + 1):
+            whole = [tuple(rows) for rows, _ in _least_adjs(n, m)]
+            values = {}  # (r, labeling): its value, by the oracle
+            for parts in range(1, 7):
+                shards = [[tuple(rows) for rows, _ in _least_adjs(n, m, part, parts)] for part in range(parts)]
+                assert sorted(sum(shards, [])) == sorted(whole), (n, m, parts)
+                for r in (2, 3):
+                    one = _min_scan_range((n, m, r, 0, 1))
+                    results = [_min_scan_range((n, m, r, part, parts)) for part in range(parts)]
+                    for shard, result in zip(shards, results):
+                        assert (result == (None, None)) == (not shard), (n, m, parts)
+                        empty += not shard
+                    assert min(p for p in results if p[0] is not None) == one, (n, m, r, parts)
+                    for ceiling, (part, shard) in itertools.product((one[0], one[0] + 1), enumerate(shards)):
+                        kept = [tuple(rows) for rows, _ in _least_adjs(n, m, part, parts, r, [ceiling])]
+                        skipped = set(shard).difference(kept)
+                        assert kept == [g for g in shard if g not in skipped], (n, m, r, parts, part)
+                        for g in skipped:
+                            if (r, g) not in values:
+                                values[r, g] = naive_max_clique_degree_sum(n, _edge_set(g), r)
+                            assert values[r, g] >= ceiling, (n, m, r, g)
     assert empty
 
 
@@ -455,38 +473,41 @@ def test_every_cell_is_checked_before_the_first_scan(monkeypatch):
 
 def test_exact_scan_stops_at_its_first_zero(monkeypatch):
     """Nothing lies below 0, and a later 0 has a greater encoding, so a shard
-    stops at its first labeling with no r-clique; (7, 10, 4) took 3,832
-    kernel calls without the stop, and takes one."""
+    stops at its first labeling with no r-clique: the kernel's last call is on
+    that labeling.  (7, 10, 4) took 3,832 kernel calls without the stop, and
+    takes one.  At r <= 3 the generator's ceiling skips labelings the kernel
+    would abort on, so fewer may reach it; at r >= 4 every labeling up to the
+    first 0 does."""
     import cliquedeg.extremal as ext
 
     calls = []
     kernel = ext.max_degree_sum_value
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        calls.append(tuple(args[0]))
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(ext, "max_degree_sum_value", counting)
     assert ext._min_scan_range((7, 10, 4, 0, 1)) == (0, (0, 0, 0, 0, 15, 63))
     assert len(calls) == 1
-    stops = 0
+    stops = pruned = 0
     for n in range(2, 7):
         for r in range(2, n + 2):
             for m in range(n * (n - 1) // 2 + 1):
+                labelings = [tuple(rows) for rows, _ in ext._least_adjs(n, m)]
                 first = next(
-                    (
-                        i for i, (rows, _) in enumerate(ext._least_adjs(n, m))
-                        if not naive_r_cliques(n, _edge_set(rows), r)
-                    ),
+                    (i for i, rows in enumerate(labelings) if not naive_r_cliques(n, _edge_set(rows), r)),
                     None,
                 )
                 if first is None:
                     continue
                 calls.clear()
                 assert ext._min_scan_range((n, m, r, 0, 1))[0] == 0, (n, m, r)
-                assert len(calls) == first + 1, (n, m, r)
+                assert calls[-1] == labelings[first], (n, m, r)
+                assert len(calls) == first + 1 if r >= 4 else len(calls) <= first + 1, (n, m, r)
                 stops += first > 0
-    assert stops
+                pruned += len(calls) < first + 1
+    assert stops and pruned
 
 
 def test_workers_cap_raises_before_any_pool():
