@@ -5,7 +5,6 @@ from .canonical import canonical_form
 from .cliques import DegreeSumResult, enumerate_r_cliques, max_clique_degree_sum
 from .graph6 import (
     Graph6ParseError,
-    from_edge_list_text,
     from_graph6,
     load_graph_text,
     to_edge_list_text,
@@ -15,7 +14,6 @@ from .graphs import (
     VERTEX_CAP,
     Graph,
     ResourceLimitError,
-    VertexSet,
     from_edges,
 )
 from .greedy import (
@@ -42,7 +40,7 @@ from .extremal import (
     stability_experiment,
     verify_all,
 )
-from .turan import TuranDecomposition, complete_multipartite, turan_decomposition, turan_graph, turan_size
+from .turan import TuranDecomposition, turan_decomposition, turan_graph, turan_size
 
 __version__ = "0.1.0"
 
@@ -62,17 +60,14 @@ __all__ = [
     "TuranDecomposition",
     "VERTEX_CAP",
     "VerifyReport",
-    "VertexSet",
     "all_greedy_sequences",
     "band_violation",
     "canonical_form",
     "check_floor_bound",
     "check_mean_bound",
-    "complete_multipartite",
     "enumerate_r_cliques",
     "extremal_degree_sum_local_search",
     "extremal_degree_sum_min",
-    "from_edge_list_text",
     "from_edges",
     "from_graph6",
     "greedy_sequence",

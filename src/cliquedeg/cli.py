@@ -181,7 +181,7 @@ def _cmd_greedy(args) -> int:
 def _cmd_delta(args) -> int:
     g = _load_input(args.input)
     res = max_clique_degree_sum(g, args.r)
-    witness = sorted(res.witness.members) if res.witness is not None else None
+    witness = list(res.witness) if res.witness is not None else None
     _report(
         args,
         lambda: {"n": g.n, "m": g.m, "r": res.r, "value": res.value, "witness": witness},

@@ -5,16 +5,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .graphs import Graph, VertexSet
+from .graphs import Graph, _bits
 
 
 @dataclass(frozen=True)
 class DegreeSumResult:
-    """Maximum degree sum over r-cliques; witness is absent iff there is no r-clique."""
+    """Maximum degree sum over r-cliques; ``witness``, an ascending vertex tuple,
+    is absent iff there is no r-clique."""
 
     r: int
     value: int
-    witness: Optional[VertexSet]
+    witness: Optional[tuple[int, ...]]
 
 
 def _clique_sums(
@@ -67,12 +68,14 @@ def _clique_sums(
                     stack.append((s, members | b, need - 1, cand))
 
 
-def enumerate_r_cliques(g: Graph, r: int) -> Iterator[VertexSet]:
-    """Yield every r-clique exactly once, in lexicographic order of sorted vertex lists."""
+def enumerate_r_cliques(g: Graph, r: int) -> Iterator[tuple[int, ...]]:
+    """Yield every r-clique exactly once, as an ascending vertex tuple, in
+    lexicographic order.  No library path calls it; perfbench's tracer
+    wraps it as the clique-enumeration entry point."""
     if r < 1:
         raise ValueError(f"clique size must be at least 1, got {r}")
     for _, bits in _clique_sums(g.adj, g.degrees(), r):
-        yield VertexSet(bits, g.n)
+        yield tuple(_bits(bits))
 
 
 def _best_clique(
@@ -141,7 +144,7 @@ def max_clique_degree_sum(g: Graph, r: int) -> DegreeSumResult:
     if r < 1:
         raise ValueError(f"clique size must be at least 1, got {r}")
     value, bits = _best_clique(g.adj, g.degrees(), r)
-    return DegreeSumResult(r=r, value=value, witness=VertexSet(bits, g.n) if bits else None)
+    return DegreeSumResult(r=r, value=value, witness=tuple(_bits(bits)) if bits else None)
 
 
 def max_degree_sum_value(

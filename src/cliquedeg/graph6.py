@@ -16,9 +16,12 @@ builds chunks and ``extremal._least_adjs`` decodes its chunks to rows.
 
 from __future__ import annotations
 
+import re
+
 from .graphs import VERTEX_CAP, Graph, _check_vertex_count
 
 _HEADER = ">>graph6<<"
+_INTEGER = re.compile("-?[0-9]+")  # an edge-list field
 _SIX_BITS = {63 + k: format(k, "06b") for k in range(64)}  # graph6 byte -> its six bits
 
 
@@ -84,7 +87,7 @@ def to_graph6(g: Graph) -> str:
     return _chunks_to_graph6(g.n, _column_chunks(g.adj, g.n))
 
 
-def from_graph6(text: str, cap: int = VERTEX_CAP) -> Graph:
+def from_graph6(text: str) -> Graph:
     """Decode a graph6 string; raises Graph6ParseError with the failing offset."""
     s = text.rstrip("\n")
     if s.startswith(_HEADER):
@@ -109,7 +112,7 @@ def from_graph6(text: str, cap: int = VERTEX_CAP) -> Graph:
         body_at = 4
     else:
         raise Graph6ParseError("8-byte size header not supported", 0)
-    _check_vertex_count(n, cap)
+    _check_vertex_count(n, VERTEX_CAP)
     nbits = n * (n - 1) // 2
     nchars = (nbits + 5) // 6
     if len(s) - body_at < nchars:
@@ -126,36 +129,20 @@ def from_graph6(text: str, cap: int = VERTEX_CAP) -> Graph:
 
 
 def to_edge_list_text(g: Graph) -> str:
-    """Plain text form: a "n m" header line then one "u v" line per edge."""
+    """Plain text form: a "n m" header line then one "u v" line per edge.  The
+    one writer of the edge lists that ``load_graph_text`` and the CLI read."""
     lines = [f"{g.n} {g.m}"]
     lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
 
 
-def _nonblank_lines(text: str) -> list[tuple[int, str]]:
-    """The lines of ``text`` that hold more than whitespace, each with its line
-    number in ``text`` (from 1), which is the offset of every error about it."""
-    return [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-
-
-def from_edge_list_text(text: str, cap: int = VERTEX_CAP) -> Graph:
-    """Parse the "n m" / "u v" edge-list format; strict about counts and ranges."""
-    return _edge_list(_nonblank_lines(text), cap)
-
-
-def _edge_list(lines: list[tuple[int, str]], cap: int) -> Graph:
-    if not lines:
-        raise Graph6ParseError("empty edge-list input", 0)
+def _edge_list(lines: list[tuple[int, str]]) -> Graph:
+    """The edge-list reader, for ``lines`` whose first holds two integers."""
     head_at, head = lines[0][0], lines[0][1].split()
-    if len(head) != 2:
-        raise Graph6ParseError("header must be 'n m'", head_at)
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise Graph6ParseError("header must be two integers", head_at) from None
+    n, m = int(head[0]), int(head[1])
     if n < 0 or m < 0:
         raise Graph6ParseError("header values must be nonnegative", head_at)
-    _check_vertex_count(n, cap)
+    _check_vertex_count(n, VERTEX_CAP)
     if len(lines) - 1 != m:
         raise Graph6ParseError(f"expected {m} edge lines, got {len(lines) - 1}", lines[-1][0])
     adj = [0] * n
@@ -163,10 +150,9 @@ def _edge_list(lines: list[tuple[int, str]], cap: int) -> Graph:
         pair = line.split()
         if len(pair) != 2:
             raise Graph6ParseError("edge line must be 'u v'", lineno)
-        try:
-            u, v = int(pair[0]), int(pair[1])
-        except ValueError:
-            raise Graph6ParseError("edge line must be two integers", lineno) from None
+        if not all(map(_INTEGER.fullmatch, pair)):
+            raise Graph6ParseError("edge line must be two integers", lineno)
+        u, v = int(pair[0]), int(pair[1])
         if not (0 <= u < n and 0 <= v < n):
             raise Graph6ParseError(f"edge ({u}, {v}) out of range 0..{n - 1}", lineno)
         if u == v:
@@ -178,19 +164,18 @@ def _edge_list(lines: list[tuple[int, str]], cap: int) -> Graph:
     return Graph._raw(n, tuple(adj))
 
 
-def load_graph_text(text: str, cap: int = VERTEX_CAP) -> Graph:
-    """Read either format: an edge list if the first line is two integers, else
-    one graph6 line, stripped at both ends, after which only blank lines may follow."""
-    lines = _nonblank_lines(text)
+def load_graph_text(text: str) -> Graph:
+    """Read either format: a "n m" / "u v" edge list, strict about counts and
+    ranges, if the first line is two integers, else one graph6 line, stripped at
+    both ends, after which only blank lines may follow.  An integer is ASCII
+    ``-?[0-9]+``, as graph6 bytes are ASCII: ``int`` would also take "+3",
+    "1_0" and non-ASCII digits."""
+    # the nonblank lines, each with its line number from 1: the offset of every error about it
+    lines = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     first = lines[0][1].strip() if lines else ""
     fields = first.split()
-    if len(fields) == 2:
-        try:
-            int(fields[0]), int(fields[1])
-        except ValueError:
-            pass
-        else:
-            return _edge_list(lines, cap)
+    if len(fields) == 2 and all(map(_INTEGER.fullmatch, fields)):
+        return _edge_list(lines)
     if len(lines) > 1:
         raise Graph6ParseError("one graph per input: a second graph6 line follows", lines[1][0])
-    return from_graph6(first, cap=cap)
+    return from_graph6(first)

@@ -7,10 +7,9 @@ as immutable after construction; every operation returns new objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-VERTEX_CAP = 64
+VERTEX_CAP = 64  # every reader and builder stops here; only turan_graph takes a larger cap
 
 
 class ResourceLimitError(RuntimeError):
@@ -29,7 +28,10 @@ class Graph:
     """Immutable simple graph: vertex count ``n`` plus one adjacency bitmask per vertex.
 
     ``adj[u]`` has bit ``v`` set iff ``{u, v}`` is an edge.  ``m`` is the
-    exact edge count.  Callers must not mutate ``adj``.
+    exact edge count.  Callers must not mutate ``adj``.  ``Graph(n, adj)``
+    checks every row: it is the constructor for adjacency rows from outside
+    the package, whose readers and builders check their own input and use
+    ``_raw``.
     """
 
     __slots__ = ("n", "adj", "m")
@@ -64,24 +66,15 @@ class Graph:
         g.m = sum(map(int.bit_count, adj)) // 2 if m is None else m
         return g
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(row.bit_count() for row in self.adj)
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield edges as (u, v) pairs with u < v, in lexicographic order."""
+        """Yield edges as (u, v) pairs with u < v, in lexicographic order: the
+        edge lines that ``to_edge_list_text`` writes."""
         for u in range(self.n):
             for v in _bits(self.adj[u] >> (u + 1) << (u + 1)):
                 yield (u, v)
-
-    def is_regular(self) -> bool:
-        if self.n == 0:
-            return True
-        degs = self.degrees()
-        return min(degs) == max(degs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -95,36 +88,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class VertexSet:
-    """Subset of the vertices 0..n-1 of an ambient graph, stored as a bitmask."""
-
-    bits: int
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("ambient vertex count must be nonnegative")
-        if self.bits < 0 or self.bits & ~((1 << self.n) - 1):
-            raise ValueError(f"members outside 0..{self.n - 1}")
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return tuple(_bits(self.bits))
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.n and bool(self.bits >> v & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        return _bits(self.bits)
-
-    def __repr__(self) -> str:
-        return f"VertexSet({set(self.members) if self.bits else '{}'}, n={self.n})"
-
-
 def _check_vertex_count(n: int, cap: int, over: Optional[str] = None) -> None:
     """The one vertex-count check of the builders: a negative n is a value
     error, an n above the cap a resource error (with message ``over`` if given)."""
@@ -134,9 +97,9 @@ def _check_vertex_count(n: int, cap: int, over: Optional[str] = None) -> None:
         raise ResourceLimitError(over or f"vertex count {n} exceeds cap {cap}")
 
 
-def from_edges(n: int, edges: Iterable[tuple[int, int]], cap: int = VERTEX_CAP) -> Graph:
+def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an iterable of (u, v) pairs; duplicates are merged."""
-    _check_vertex_count(n, cap)
+    _check_vertex_count(n, VERTEX_CAP)
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):

@@ -87,7 +87,7 @@ def _runs(g: Graph) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         for v in _bits(top):
             yield from rec(verts + (v,), sums + (total,), total, cand & adj[v])
 
-    return rec((), (), 0, g.full_mask)
+    return rec((), (), 0, (1 << g.n) - 1)
 
 
 def greedy_sequence(g: Graph) -> GreedySequence:
@@ -302,7 +302,7 @@ def check_mean_bound(g: Graph, r: int) -> MeanCheckReport:
     _require_threshold(g, r)
     degs = g.degrees()
     _, min_sum, max_sum, levels = _prefix_search(g.adj, degs, r)
-    regular = g.is_regular()
+    regular = min(degs) == max(degs)
     failure = _mean_failure(g.n, g.m, r, regular, max_sum)
     ok = failure is None
     witness = _best_run(levels, degs, max_sum) if ok else None

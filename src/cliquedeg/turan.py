@@ -6,7 +6,6 @@ All bound checks are integer-exact; nothing here touches floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .graphs import VERTEX_CAP, Graph, ResourceLimitError, _check_vertex_count
 
@@ -50,27 +49,22 @@ def turan_decomposition(r: int, n: int) -> TuranDecomposition:
     return TuranDecomposition(r=r, n=n, parts=parts, s=s, t=t)
 
 
-def complete_multipartite(parts: list[int] | tuple[int, ...], cap: int = VERTEX_CAP) -> Graph:
-    """Complete multipartite graph with the given part sizes.
+def turan_graph(r: int, n: int, cap: int = VERTEX_CAP) -> tuple[Graph, TuranDecomposition]:
+    """Balanced complete r-partite graph on n vertices plus its decomposition.
+    Vertices are numbered part by part, in the decomposition's part order.
 
-    Vertices are numbered consecutively part by part; two vertices are
-    adjacent iff they lie in different parts.
+    ``cap`` (default ``VERTEX_CAP``) is the only vertex cap a caller can
+    raise: acceptance criterion 1 builds T_r(n) up to n = 200.
+
+    For r > n the empty parts are dropped from the construction (the
+    graph is then complete on n vertices); they remain in the
+    decomposition so that the part list always has r entries.
     """
-    parts = tuple(parts)
-    if not parts:
-        raise ValueError("parts must be nonempty")
-    for k in parts:
-        if k < 1:
-            raise ValueError(f"part sizes must be positive, got {k}")
-    n = sum(parts)
     _check_vertex_count(n, cap)
-    return _multipartite(n, [(1, k) for k in parts])
-
-
-def _multipartite(n: int, blocks, m: Optional[int] = None) -> Graph:
-    """Complete multipartite graph on n vertices from blocks (count, size) of
-    equal positive part sizes, the parts summing to n; ``m`` is its edge count
-    when the caller knows it."""
+    dec = turan_decomposition(r, n)
+    q = n // r
+    # s parts of size q + 1, then r - s of size q; for r > n, n singletons and empty parts
+    blocks = ((dec.s, q + 1), (r - dec.s, q)) if q else ((n, 1),)
     full = (1 << n) - 1
     adj: list[int] = []
     start = 0  # lowest vertex of the next part
@@ -83,19 +77,4 @@ def _multipartite(n: int, blocks, m: Optional[int] = None) -> Graph:
             for low in range(start, stop, k):
                 adj += [full ^ mask << low] * k
         start = stop
-    return Graph._raw(n, tuple(adj), m)
-
-
-def turan_graph(r: int, n: int, cap: int = VERTEX_CAP) -> tuple[Graph, TuranDecomposition]:
-    """Balanced complete r-partite graph on n vertices plus its decomposition.
-
-    For r > n the empty parts are dropped from the construction (the
-    graph is then complete on n vertices); they remain in the
-    decomposition so that the part list always has r entries.
-    """
-    _check_vertex_count(n, cap)
-    dec = turan_decomposition(r, n)
-    q = n // r
-    # s parts of size q + 1, then r - s of size q; for r > n, n singletons and empty parts
-    blocks = ((dec.s, q + 1), (r - dec.s, q)) if q else ((n, 1),)
-    return _multipartite(n, blocks, dec.t), dec
+    return Graph._raw(n, tuple(adj), dec.t), dec

@@ -32,8 +32,8 @@ def test_enumerate_counts():
 
 def test_enumerate_lex_order_and_r1():
     g = from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    assert [s.members for s in enumerate_r_cliques(g, 2)] == [(0, 1), (0, 2), (1, 2)]
-    assert [s.members for s in enumerate_r_cliques(g, 1)] == [(0,), (1,), (2,)]
+    assert list(enumerate_r_cliques(g, 2)) == [(0, 1), (0, 2), (1, 2)]
+    assert list(enumerate_r_cliques(g, 1)) == [(0,), (1,), (2,)]
     assert list(enumerate_r_cliques(g, 4)) == []
     with pytest.raises(ValueError):
         list(enumerate_r_cliques(g, 0))
@@ -44,7 +44,7 @@ def test_max_degree_sum_examples():
     assert res.value == 0 and res.witness is None
     pendant = from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
     res = max_clique_degree_sum(pendant, 2)
-    assert res.value == 5 and res.witness.members == (0, 1)
+    assert res.value == 5 and res.witness == (0, 1)
     tg, _ = turan_graph(3, 6)
     assert max_clique_degree_sum(tg, 3).value == 12
 
@@ -52,7 +52,9 @@ def test_max_degree_sum_examples():
 def test_max_degree_sum_r1_is_max_degree():
     g = from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
     res = max_clique_degree_sum(g, 1)
-    assert res.value == 3 and res.witness.members == (0,)
+    assert res.value == 3 and res.witness == (0,)
+    with pytest.raises(ValueError, match="clique size must be at least 1"):
+        max_clique_degree_sum(g, 0)
 
 
 def test_r_beyond_n_gives_zero_without_error():
@@ -60,7 +62,7 @@ def test_r_beyond_n_gives_zero_without_error():
     assert res.value == 0 and res.witness is None
     k64 = from_edges(64, slot_pairs(64))
     res = max_clique_degree_sum(k64, 64)
-    assert res.value == 64 * 63 and res.witness.members == tuple(range(64))
+    assert res.value == 64 * 63 and res.witness == tuple(range(64))
     res = max_clique_degree_sum(k64, 65)
     assert res.value == 0 and res.witness is None
 
@@ -82,7 +84,7 @@ def test_witness_is_lex_least_maximizer():
     # two disjoint triangles with equal degree sums
     g = from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     res = max_clique_degree_sum(g, 3)
-    assert res.witness.members == (0, 1, 2)
+    assert res.witness == (0, 1, 2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -90,12 +92,12 @@ def test_witness_is_lex_least_maximizer():
 def test_matches_naive_oracle(g, r):
     edges = list(g.edges())
     cliques = naive_r_cliques(g.n, edges, r)
-    assert [s.members for s in enumerate_r_cliques(g, r)] == cliques
+    assert list(enumerate_r_cliques(g, r)) == cliques
     res = max_clique_degree_sum(g, r)
     assert res.value == naive_max_clique_degree_sum(g.n, edges, r)
     deg = naive_degrees(g.n, edges)
     first_max = next((c for c in cliques if sum(deg[v] for v in c) == res.value), None)
-    assert (res.witness.members if res.witness is not None else None) == first_max
+    assert res.witness == first_max
 
 
 def test_clique_walk_matches_naive_oracle_on_every_small_graph():
@@ -260,13 +262,13 @@ def test_kernel_matches_oracle_on_dense_and_symmetric_graphs():
             value = max((sum(deg[v] for v in c) for c in cliques), default=0)
             first = next((c for c in cliques if sum(deg[v] for v in c) == value), None)
             res = max_clique_degree_sum(g, r)
-            assert (res.value, res.witness.members if res.witness else None) == (value, first)
+            assert (res.value, res.witness) == (value, first)
             for cutoff in (value - 1, value, value + 1):
                 found = _best_clique(g.adj, degs, r, abort_above=cutoff)
                 if cliques and value > cutoff:
                     assert found is None
                 else:
-                    assert found == (value, res.witness.bits if res.witness else 0), (n, r)
+                    assert found == (value, sum(1 << v for v in res.witness or ())), (n, r)
 
 
 def _golden_graphs():
@@ -297,5 +299,5 @@ def test_golden_delta_witnesses_beyond_the_oracle():
     for n, edges in _golden_graphs():
         g = from_edges(n, edges)
         results = [max_clique_degree_sum(g, r) for r in (3, 4, 5)]
-        got.append((n, g.m, [(res.value, res.witness.members) for res in results]))
+        got.append((n, g.m, [(res.value, res.witness) for res in results]))
     assert got == GOLDEN_DELTAS

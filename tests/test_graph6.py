@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 
 from cliquedeg import (
+    Graph,
     Graph6ParseError,
     ResourceLimitError,
-    from_edge_list_text,
     from_edges,
     from_graph6,
     load_graph_text,
@@ -110,30 +110,27 @@ def test_parse_errors_with_offset():
 
 
 def test_parse_respects_cap():
-    g = from_edges(65, [], cap=100)
-    code = to_graph6(g)
-    with pytest.raises(ResourceLimitError):
+    code = to_graph6(Graph(65, (0,) * 65))
+    with pytest.raises(ResourceLimitError, match="vertex count 65 exceeds cap 64"):
         from_graph6(code)
-    assert from_graph6(code, cap=100).n == 65
+    with pytest.raises(ResourceLimitError, match="vertex count 65 exceeds cap 64"):
+        load_graph_text("65 0\n")
 
 
 def test_edge_list_round_trip():
     g = from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     text = to_edge_list_text(g)
     assert text.splitlines()[0] == "4 4"
-    assert from_edge_list_text(text) == g
+    assert load_graph_text(text) == g
 
 
 def test_edge_list_errors():
     # the offset is the line in the text, blank lines counted
     for text, message, offset in (
-        ("", "empty edge-list input", 0),
-        ("3\n", "header must be 'n m'", 1),
         ("3 2\n0 1\n", "expected 2 edge lines, got 1", 2),
         ("3 1\n0 3\n", "out of range", 2),
         ("3 2\n0 1\n0 1\n", "duplicate edge", 3),
         ("3 1\n1 1\n", "loop edge", 2),
-        ("3 x\n", "header must be two integers", 1),
         ("\n3 -1\n", "header values must be nonnegative", 2),
         ("3 1\n0 1 2\n", "edge line must be 'u v'", 2),
         ("3 1\n0 a\n", "edge line must be two integers", 2),
@@ -141,12 +138,29 @@ def test_edge_list_errors():
         ("\n\n3 1\n0 1 2\n", "edge line must be 'u v'", 4),
     ):
         with pytest.raises(Graph6ParseError, match=message) as info:
-            from_edge_list_text(text)
+            load_graph_text(text)
         assert info.value.offset == offset, text
-        if not message.startswith(("empty", "header must")):  # a first line of two integers
-            with pytest.raises(Graph6ParseError, match=message) as info:
-                load_graph_text(text)
-            assert info.value.offset == offset, text
+
+
+def test_edge_list_integers_are_ascii_decimal():
+    """``int`` also takes a sign, underscores and non-ASCII digits; the reader
+    takes ASCII ``-?[0-9]+`` only.  A first line with any other field is read
+    as graph6, and so refused; an edge line with one is refused at its line."""
+    for text, message, offset in (
+        ("1_0 0\n", "outside graph6 range", 0),
+        ("\u0663 \u0660\n", "outside graph6 range", 0),  # Arabic-Indic 3 and 0
+        ("+3 1\n", "outside graph6 range", 0),
+        ("+3 1\n0 1\n", "one graph per input", 2),
+        ("3 1\n0 +2\n", "edge line must be two integers", 2),
+        ("3 1\n\n0 \u0662\n", "edge line must be two integers", 3),  # Arabic-Indic 2
+        ("3 1\n0 1_0\n", "edge line must be two integers", 2),
+        ("-1 0\n", "header values must be nonnegative", 1),
+        ("3 1\n0 -1\n", "out of range", 2),
+    ):
+        with pytest.raises(Graph6ParseError, match=message) as info:
+            load_graph_text(text)
+        assert info.value.offset == offset, text
+    assert load_graph_text("03 1\n0 02\n") == from_edges(3, [(0, 2)])
 
 
 def test_load_autodetect():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from cliquedeg import Graph, ResourceLimitError, VertexSet, from_edges
+from cliquedeg import Graph, ResourceLimitError, from_edges
 
 from conftest import graphs
 
@@ -14,6 +14,10 @@ def test_graph_constructor_validates():
     with pytest.raises(ValueError):
         Graph(2, (0b100, 0b000))  # out of range
     with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        Graph(-1, ())
+    with pytest.raises(ValueError, match="expected 2 adjacency rows, got 1"):
+        Graph(2, (0,))
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
         from_edges(-1, [])
     with pytest.raises(ResourceLimitError):
         from_edges(65, [])
@@ -24,14 +28,6 @@ def test_graph_constructor_validates():
     assert from_edges(2, [(0, 1), (1, 0), (0, 1)]).m == 1  # duplicates merged
     g = Graph(3, (0b010, 0b101, 0b010))  # path 0-1-2
     assert g.m == 2
-
-
-def test_vertex_set():
-    s = VertexSet(0b101, 4)
-    assert s.members == (0, 2)
-    assert len(s) == 2 and 2 in s and 1 not in s
-    with pytest.raises(ValueError):
-        VertexSet(1 << 4, 4)
 
 
 @settings(max_examples=150, deadline=None)

@@ -79,6 +79,8 @@ def test_branch_cap():
         all_greedy_sequences(g, branch_cap=10)
     assert "10" in str(e.value)
     assert len(all_greedy_sequences(g, branch_cap=24)) == 24
+    with pytest.raises(ValueError, match="branch cap must be at least 1, got 0"):
+        all_greedy_sequences(g, branch_cap=0)
 
 
 def test_branch_cap_above_the_limit_is_refused_before_any_run(monkeypatch, tmp_path, capsys):
@@ -124,7 +126,7 @@ def test_sequence_invariants(g):
             assert g.adj[a] >> b & 1
         # greedy choice at every step, degree monotone
         assert degs == sorted(degs, reverse=True)
-        cand = g.full_mask
+        cand = (1 << g.n) - 1
         for v in verts:
             members = [w for w in range(g.n) if cand >> w & 1]
             assert deg[v] == max(deg[w] for w in members)

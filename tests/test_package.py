@@ -47,3 +47,36 @@ def test_no_unused_module_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+# public names with no reference in the package or perfbench, each kept for its own reason
+UNREFERENCED_EXPORTS = {
+    "canonical_form": "acceptance criterion 9 tests it as its subject",
+    "turan_graph": "acceptance criterion 1 tests it as its subject",
+    "to_edge_list_text": "the only writer of the edge-list input format of the CLI",
+}
+
+
+def _referenced_names(path: Path) -> set[str]:
+    """Every name the module at ``path`` reads, as a variable, an attribute or a
+    string constant (perfbench's tracer names its entry points by string);
+    ``def`` and ``class`` lines name nothing here."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_exported_name_has_a_caller():
+    """A public name that nothing in the package or perfbench reads is kept
+    for its tests alone; it goes, or joins UNREFERENCED_EXPORTS with a reason."""
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    paths += (ROOT / "perfbench").glob("*.py")
+    referenced = set().union(*map(_referenced_names, paths))
+    unreferenced = sorted(set(cliquedeg.__all__) - referenced)
+    assert unreferenced == sorted(UNREFERENCED_EXPORTS)

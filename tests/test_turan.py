@@ -4,7 +4,6 @@ import pytest
 
 from cliquedeg import (
     ResourceLimitError,
-    complete_multipartite,
     enumerate_r_cliques,
     turan_decomposition,
     turan_graph,
@@ -26,8 +25,10 @@ def test_turan_size_edge_cases():
     assert turan_size(5, 5) == 10
     assert turan_size(9, 5) == 10  # r > n gives the complete graph
     assert turan_size(3, 0) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="part count"):
         turan_size(0, 5)
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        turan_size(2, -1)
 
 
 def test_decomposition_parts():
@@ -37,21 +38,6 @@ def test_decomposition_parts():
     assert dec.parts == (1, 1, 1, 1)
     dec = turan_decomposition(5, 3)
     assert dec.parts == (1, 1, 1, 0, 0) and sum(dec.parts) == 3
-
-
-def test_complete_multipartite():
-    g = complete_multipartite([2, 2])
-    assert g.n == 4 and g.m == 4
-    g = complete_multipartite([3, 2, 2])
-    assert g.m == 16
-    g = complete_multipartite([1, 1, 1])
-    assert g.m == 3 and g.degrees() == (2, 2, 2)
-    with pytest.raises(ValueError):
-        complete_multipartite([2, 0])
-    with pytest.raises(ValueError):
-        complete_multipartite([])
-    with pytest.raises(ResourceLimitError):
-        complete_multipartite([40, 40])
 
 
 def test_turan_graph_small():
