@@ -12,17 +12,29 @@ Search witnesses and canonical forms are column chunks in the same layout
 and are rendered and read by these two.  Two searches also walk the layout
 themselves, one chunk per placed vertex: ``canonical._canonical_chunks``
 builds chunks and ``extremal._least_adjs`` decodes its chunks to rows.
+
+The decoder takes a fixed number of big-int steps per graph, plus one per
+row.  The body becomes one int whose bit p is triangle slot p; shift-and-mask
+stages move column j to row j of a w x w bit matrix (w the least power of
+two >= n), block swaps transpose that matrix, and the rows are the matrix
+ORed with its transpose.  The masks depend on n alone: ``_row_plan`` builds
+them on first use for each n and caches them, 65 plans at most.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 
 from .graphs import VERTEX_CAP, Graph, _check_vertex_count
 
 _HEADER = ">>graph6<<"
+_BLANKS = " \t\r"  # what separates and surrounds fields; lines end at "\n" alone
+_FIELD = re.compile("[^ \t\r]+")
 _INTEGER = re.compile("-?[0-9]+")  # an edge-list field
-_SIX_BITS = {63 + k: format(k, "06b") for k in range(64)}  # graph6 byte -> its six bits
+_BAD_BYTE = re.compile("[^?-~]")  # a character outside graph6's bytes 63..126
+# graph6 byte -> its six bits, last bit first
+_SIX_BITS = {63 + k: format(k, "06b")[::-1] for k in range(64)}
 
 
 class Graph6ParseError(ValueError):
@@ -51,21 +63,50 @@ def _render_chunks(chunks: tuple[int, ...]) -> str:
     return "".join(format(c, f"0{j}b") for j, c in enumerate(chunks, start=1))
 
 
-def _decode_rows(n: int, bits: str) -> list[int]:
-    """The decoder: adjacency rows from a bit string of n(n-1)/2 characters
-    '0' and '1' in the encoder's column order."""
-    adj = [0] * n
-    k = 0
-    for j in range(1, n):
-        col = int(bits[k:k + j][::-1], 2)  # bit i: the pair (i, j)
-        k += j
-        adj[j] = col
-        bit_j = 1 << j
-        while col:
-            low = col & -col
-            adj[low.bit_length() - 1] |= bit_j
-            col ^= low
-    return adj
+@functools.cache
+def _row_plan(n: int) -> tuple[int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """The decoder's masks for n vertices, built on first use: the row width w
+    (the least power of two >= n), then the (mask, shift) stages that expand
+    the triangle into a w x w matrix and those that transpose that matrix.
+
+    Triangle slot p = j(j-1)/2 + i holds the pair (i, j), i < j; it goes to
+    bit j*w + i, row j of the matrix, so column j moves left as one run by
+    d_j = j*w - j(j-1)/2.  d_j grows with j, so moving every run by one bit of
+    its d_j per stage, highest bit first, never lands a bit on another
+    (Hacker's Delight's expand).  The transpose swaps the off-diagonal s x s
+    blocks for s = w/2, ..., 1."""
+    w = 1 << max(n - 1, 0).bit_length()
+    runs = [(j * (j - 1) // 2, (1 << j) - 1, j * w - j * (j - 1) // 2) for j in range(1, n)]
+    expand = []
+    for b in reversed(range(max((d for _, _, d in runs), default=0).bit_length())):
+        # each run sits where the bits of its d_j above b have moved it
+        mask = sum(ones << (start + (d >> b + 1 << b + 1)) for start, ones, d in runs if d >> b & 1)
+        expand.append((mask, 1 << b))
+    transpose = []
+    s = w >> 1
+    while s:
+        # bit (r, c) at r*w + c with r & s clear and c & s set swaps with
+        # (r + s, c - s), s*(w - 1) bits higher
+        cols = sum(((1 << s) - 1) << c for c in range(s, w, 2 * s))
+        transpose.append((sum(cols << r * w for r in range(w) if not r & s), s * (w - 1)))
+        s >>= 1
+    return w, tuple(expand), tuple(transpose)
+
+
+def _decode_rows(n: int, slots: int) -> tuple[int, ...]:
+    """The decoder: adjacency rows from an int whose bit p is triangle slot p
+    in the encoder's column order, by the masks of ``_row_plan``."""
+    w, expand, transpose = _row_plan(n)
+    for mask, k in expand:
+        t = slots & mask
+        slots ^= t ^ t << k
+    lower = slots  # row j: the neighbours i < j
+    for mask, k in transpose:
+        t = (slots ^ slots >> k) & mask
+        slots ^= t ^ t << k
+    slots |= lower
+    row = (1 << w) - 1
+    return tuple([slots >> v * w & row for v in range(n)])
 
 
 def _chunks_to_graph6(n: int, chunks: tuple[int, ...]) -> str:
@@ -94,10 +135,10 @@ def from_graph6(text: str) -> Graph:
         s = s[len(_HEADER):]
     if not s:
         raise Graph6ParseError("empty graph6 string", 0)
-    for pos, ch in enumerate(s):
-        code = ord(ch)
-        if code < 63 or code > 126:
-            raise Graph6ParseError(f"byte {code!r} outside graph6 range 63..126", pos)
+    bad = _BAD_BYTE.search(s)
+    if bad:
+        code = ord(bad.group())
+        raise Graph6ParseError(f"byte {code!r} outside graph6 range 63..126", bad.start())
     if s[0] != "~":
         n = ord(s[0]) - 63
         body_at = 1
@@ -124,8 +165,10 @@ def from_graph6(text: str) -> Graph:
     pad = 6 * nchars - nbits
     if (ord(s[-1]) - 63) & ((1 << pad) - 1):
         raise Graph6ParseError("nonzero padding bits", len(s) - 1)
-    bits = s[body_at:].translate(_SIX_BITS)[:nbits]
-    return Graph._raw(n, tuple(_decode_rows(n, bits)))
+    # the body reversed, each byte's bits reversed: bit p of the int is slot p
+    # (padding bits become leading zeros; n <= 1 has no body)
+    slots = int(s[body_at:][::-1].translate(_SIX_BITS) or "0", 2)
+    return Graph._raw(n, _decode_rows(n, slots))
 
 
 def to_edge_list_text(g: Graph) -> str:
@@ -138,7 +181,7 @@ def to_edge_list_text(g: Graph) -> str:
 
 def _edge_list(lines: list[tuple[int, str]]) -> Graph:
     """The edge-list reader, for ``lines`` whose first holds two integers."""
-    head_at, head = lines[0][0], lines[0][1].split()
+    head_at, head = lines[0][0], _FIELD.findall(lines[0][1])
     n, m = int(head[0]), int(head[1])
     if n < 0 or m < 0:
         raise Graph6ParseError("header values must be nonnegative", head_at)
@@ -147,7 +190,7 @@ def _edge_list(lines: list[tuple[int, str]]) -> Graph:
         raise Graph6ParseError(f"expected {m} edge lines, got {len(lines) - 1}", lines[-1][0])
     adj = [0] * n
     for lineno, line in lines[1:]:
-        pair = line.split()
+        pair = _FIELD.findall(line)
         if len(pair) != 2:
             raise Graph6ParseError("edge line must be 'u v'", lineno)
         if not all(map(_INTEGER.fullmatch, pair)):
@@ -167,13 +210,15 @@ def _edge_list(lines: list[tuple[int, str]]) -> Graph:
 def load_graph_text(text: str) -> Graph:
     """Read either format: a "n m" / "u v" edge list, strict about counts and
     ranges, if the first line is two integers, else one graph6 line, stripped at
-    both ends, after which only blank lines may follow.  An integer is ASCII
-    ``-?[0-9]+``, as graph6 bytes are ASCII: ``int`` would also take "+3",
-    "1_0" and non-ASCII digits."""
+    both ends, after which only blank lines may follow.  The reader is ASCII
+    throughout, as graph6 bytes are: lines end at "\n", fields are separated
+    and stripped at space, tab and "\r" (so CRLF files read), and an integer is
+    ``-?[0-9]+``.  ``str.splitlines``, ``str.split`` and ``int`` would also
+    take Unicode line breaks and spaces, "+3", "1_0" and non-ASCII digits."""
     # the nonblank lines, each with its line number from 1: the offset of every error about it
-    lines = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    first = lines[0][1].strip() if lines else ""
-    fields = first.split()
+    lines = [(i, ln) for i, ln in enumerate(text.split("\n"), start=1) if ln.strip(_BLANKS)]
+    first = lines[0][1].strip(_BLANKS) if lines else ""
+    fields = _FIELD.findall(first)
     if len(fields) == 2 and all(map(_INTEGER.fullmatch, fields)):
         return _edge_list(lines)
     if len(lines) > 1:

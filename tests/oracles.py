@@ -81,16 +81,43 @@ def naive_prefix_extremes(n, edges, r):
 def naive_graph6(n, edges):
     """Column-order upper-triangle graph6 encoding, written out longhand."""
     eset = {frozenset(e) for e in edges}
-    assert n <= 62
+    if n <= 62:
+        head = chr(63 + n)
+    else:  # "~" and n in three 6-bit bytes, most significant first
+        head = "~" + chr(63 + n // 4096) + chr(63 + n // 64 % 64) + chr(63 + n % 64)
     bits = ""
     for j in range(1, n):
         for i in range(j):
             bits += "1" if frozenset((i, j)) in eset else "0"
     while len(bits) % 6:
         bits += "0"
-    return chr(63 + n) + "".join(
+    return head + "".join(
         chr(63 + int(bits[k : k + 6], 2)) for k in range(0, len(bits), 6)
     )
+
+
+def naive_graph6_rows(text):
+    """The adjacency rows (bit v of row u: the edge uv) of a well-formed graph6
+    string, read longhand: the size header, then the body one bit at a time,
+    six bits per byte, most significant first, pairs in column order."""
+    values = [ord(ch) - 63 for ch in text]
+    if values[0] == 63:  # "~": n in the next three bytes
+        n = values[1] * 4096 + values[2] * 64 + values[3]
+        body = values[4:]
+    else:
+        n = values[0]
+        body = values[1:]
+    bits = [v // 2**k % 2 for v in body for k in (5, 4, 3, 2, 1, 0)]
+    rows = [0] * n
+    p = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[p]:
+                rows[i] += 2**j
+                rows[j] += 2**i
+            p += 1
+    assert len(bits) - p < 6 and not any(bits[p:])
+    return tuple(rows)
 
 
 @functools.lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ from cliquedeg import (
 )
 
 from conftest import graphs
-from oracles import naive_graph6
+from oracles import naive_graph6, naive_graph6_rows
 
 
 def test_known_codes():
@@ -80,6 +80,26 @@ def test_long_size_header():
         _assert_matches_networkx(n, edges)
 
 
+def test_decoder_matches_longhand_oracle():
+    """``from_graph6`` against a longhand decoder at every n = 0..64, so at
+    every row width w = 1, 2, 4, ..., 64 of its masks and with both size
+    headers.  A slot that a mask drops or moves stays behind or lands on a
+    wrong bit, which moves the single edge of a one-edge graph or the single
+    hole of a one-hole graph; random graphs of five densities cover the rest."""
+    rng = random.Random(17)
+    for n in range(65):
+        pairs = [(i, j) for j in range(1, n) for i in range(j)]
+        singles = pairs if n <= 16 else rng.sample(pairs, 40) if n >= 63 else []
+        cases = [[p for p in pairs if rng.random() < density]
+                 for density in (0.1, 0.3, 0.5, 0.7, 0.9) for _ in range(2)]
+        cases += [[p] for p in singles] + [[q for q in pairs if q != p] for p in singles]
+        for edges in cases:
+            code = naive_graph6(n, edges)
+            rows = naive_graph6_rows(code)
+            assert rows == from_edges(n, edges).adj, code  # the two oracles agree
+            assert from_graph6(code).adj == rows, code
+
+
 @settings(max_examples=300, deadline=None)
 @given(graphs(max_n=10))
 def test_round_trip_property(g):
@@ -91,6 +111,7 @@ def test_optional_header_accepted():
 
 
 def test_parse_errors_with_offset():
+    k64 = to_graph6(from_edges(64, [(i, j) for j in range(64) for i in range(j)]))  # 340 bytes
     for text, message, offset in (
         ("", "empty graph6 string", 0),
         ("D?", "truncated bit field", 2),  # n = 5
@@ -103,6 +124,11 @@ def test_parse_errors_with_offset():
         ("~??", "truncated extended size header", 3),
         ("~??}", "non-canonical extended header for n=62", 0),
         ("~~??????", "8-byte size header not supported", 0),
+        ("~?" + chr(20) + "?", "byte 20 outside graph6 range", 2),  # in the extended header
+        ("A\u00e9", "byte 233 outside graph6 range", 1),  # a non-ASCII code point
+        (k64[:300] + ">" + k64[301:], "byte 62 outside graph6 range", 300),  # deep in the body
+        # two bad bytes: the first is named
+        (k64[:100] + ">" + k64[101:300] + "\u00e9" + k64[301:], "byte 62 outside", 100),
     ):
         with pytest.raises(Graph6ParseError, match=message) as info:
             from_graph6(text)
@@ -161,6 +187,33 @@ def test_edge_list_integers_are_ascii_decimal():
             load_graph_text(text)
         assert info.value.offset == offset, text
     assert load_graph_text("03 1\n0 02\n") == from_edges(3, [(0, 2)])
+
+
+def test_reader_takes_ascii_blanks_and_newlines_only():
+    """Lines end at "\n" alone, and fields are split and stripped at space, tab
+    and "\r" alone: a Unicode space or line break is an input character like
+    any other, and each case below is refused.  The offset is the line of an
+    edge-list or second-line error and the byte, within its line, of a graph6
+    error."""
+    for text, message, offset in (
+        ("3\u20031\n0 1\n", "one graph per input", 2),  # em space: a one-field first line
+        ("3\u20031\n", "byte 51 outside graph6 range", 0),
+        ("\u3000Bw\n", "byte 12288 outside graph6 range", 0),  # ideographic space
+        ("Bw\xa0\n", "byte 160 outside graph6 range", 2),  # no-break space
+        ("Bw\x0b\n", "byte 11 outside graph6 range", 2),  # vertical tab
+        ("3 2\n0 1\u20280 2\n", "expected 2 edge lines, got 1", 2),  # line separator
+        ("3 2\n0 1\x0c0 2\n", "expected 2 edge lines, got 1", 2),  # form feed
+        ("3 2\n0 1\x850 2\n", "expected 2 edge lines, got 1", 2),  # next line
+        ("3 1\n\u2029\n0 1\n", "expected 1 edge lines, got 2", 3),  # paragraph separator
+        ("3 1\n0\u20031\n", "edge line must be 'u v'", 2),
+        ("3 1\n0\x1f1\n", "edge line must be 'u v'", 2),  # unit separator
+    ):
+        with pytest.raises(Graph6ParseError, match=message) as info:
+            load_graph_text(text)
+        assert info.value.offset == offset, text
+    # ASCII blanks still separate and surround fields, CRLF line ends included
+    assert load_graph_text("3\t1\r\n 0 \t 1\r\n\r\n") == from_edges(3, [(0, 1)])
+    assert load_graph_text("\r\n\tBw \r\n") == from_edges(3, [(0, 1), (0, 2), (1, 2)])
 
 
 def test_load_autodetect():
