@@ -30,7 +30,6 @@ from .greedy import (
 from .extremal import (
     ScanRecord,
     StabilityParams,
-    StabilityReport,
     VerifyReport,
     band_violation,
     extremal_degree_sum_local_search,
@@ -56,7 +55,6 @@ __all__ = [
     "ResourceLimitError",
     "ScanRecord",
     "StabilityParams",
-    "StabilityReport",
     "TuranDecomposition",
     "VERTEX_CAP",
     "VerifyReport",

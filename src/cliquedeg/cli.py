@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -30,7 +31,7 @@ from .extremal import (
     stability_experiment,
     verify_all,
 )
-from .graph6 import Graph6ParseError, load_graph_text
+from .graph6 import _INTEGER, Graph6ParseError, load_graph_text
 from .graphs import ResourceLimitError
 from .greedy import DEFAULT_BRANCH_CAP, all_greedy_sequences, greedy_sequence
 from .cliques import max_clique_degree_sum
@@ -39,6 +40,19 @@ from .turan import turan_decomposition
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VIOLATION = 2
+
+# --epsilon is an ASCII fraction or decimal, read only up to this length, so that
+# no big-int work on epsilon or delta = epsilon^2/32 runs before it is refused
+MAX_EPSILON_CHARS = 64
+_EPSILON = re.compile(r"[0-9]+(/[0-9]+)?|[0-9]*\.[0-9]+")
+
+
+def integer(text: str) -> int:
+    """Every CLI integer, each flag's and each ``verify --r`` token, is ASCII
+    ``-?[0-9]+``, as an edge-list field is."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"invalid integer value: {text!r}")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,51 +70,51 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_search_flags(p):
         p.add_argument("--mode", choices=list(MODES), default="exhaustive")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--restarts", type=int, default=4)
-        p.add_argument("--iter-budget", type=int, default=200)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--seed", type=integer, default=0)
+        p.add_argument("--restarts", type=integer, default=4)
+        p.add_argument("--iter-budget", type=integer, default=200)
+        p.add_argument("--workers", type=integer, default=1)
 
     p = sub.add_parser("turan", help="balanced r-partite part sizes and edge count")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--r", type=integer, required=True)
+    p.add_argument("--n", type=integer, required=True)
     add_output_flags(p)
 
     p = sub.add_parser("greedy", help="run the greedy clique construction on a graph file")
     p.add_argument("--input", required=True, help="graph6 or edge-list file")
     p.add_argument("--all-branches", action="store_true", help="enumerate every tie branch")
-    p.add_argument("--branch-cap", type=int, default=DEFAULT_BRANCH_CAP)
+    p.add_argument("--branch-cap", type=integer, default=DEFAULT_BRANCH_CAP)
     add_output_flags(p)
 
     p = sub.add_parser("delta", help="max degree sum over r-cliques of a graph file")
     p.add_argument("--input", required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=integer, required=True)
     add_output_flags(p)
 
     p = sub.add_parser("extremal", help="minimum over all (n,m)-graphs of the max r-clique degree sum")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--m", type=integer, required=True)
+    p.add_argument("--r", type=integer, required=True)
     add_search_flags(p)
     add_output_flags(p)
 
     p = sub.add_parser("scan", help="one extremal record per edge count in a range")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m-from", type=int, required=True)
-    p.add_argument("--m-to", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--r", type=integer, required=True)
+    p.add_argument("--m-from", type=integer, required=True)
+    p.add_argument("--m-to", type=integer, required=True)
     add_search_flags(p)
     add_output_flags(p)
 
     p = sub.add_parser("stability", help="ratio table over the window just below the threshold")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--epsilon", required=True, help="exact rational, e.g. 1/4")
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--r", type=integer, required=True)
+    p.add_argument("--epsilon", required=True, help="ASCII fraction or decimal, e.g. 1/4")
     add_search_flags(p)
     add_output_flags(p)
 
     p = sub.add_parser("verify", help="exhaustive greedy and band checks over all small graphs")
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=integer, required=True)
     p.add_argument("--r", required=True, help="comma-separated clique sizes, e.g. 2,3")
     p.add_argument("--mode", choices=EXACT_MODES, default="exhaustive")
     add_output_flags(p)
@@ -233,51 +247,59 @@ def _cmd_scan(args, m_from: int, m_to: int) -> int:
 
 
 def _cmd_stability(args) -> int:
+    if len(args.epsilon) > MAX_EPSILON_CHARS:
+        raise ResourceLimitError(
+            f"--epsilon length {len(args.epsilon)} exceeds cap {MAX_EPSILON_CHARS}"
+        )
+    if not _EPSILON.fullmatch(args.epsilon):
+        raise ValueError(f"--epsilon takes a fraction such as 1/4 or a decimal such as "
+                         f"0.25, got {args.epsilon!r}")
     try:
         epsilon = Fraction(args.epsilon)
     except ZeroDivisionError:
         raise ValueError(f"epsilon {args.epsilon!r} has a zero denominator") from None
     params = StabilityParams(epsilon=epsilon, r=args.r, n=args.n)
-    rep = stability_experiment(
+    rows = stability_experiment(
         params, mode=args.mode, seed=args.seed, restarts=args.restarts,
         iter_budget=args.iter_budget, workers=args.workers,
     )
+    delta = params.delta
     _report(
         args,
         lambda: {
-            "r": rep.r, "n": rep.n,
-            "epsilon": {"num": rep.epsilon_num, "den": rep.epsilon_den},
-            "delta": {"num": rep.delta_num, "den": rep.delta_den},
-            "m_threshold": rep.m_threshold, "m_upper": rep.m_upper, "mode": rep.mode,
-            "within_proof_range": rep.within_proof_range,
+            "r": params.r, "n": params.n,
+            "epsilon": {"num": epsilon.numerator, "den": epsilon.denominator},
+            "delta": {"num": delta.numerator, "den": delta.denominator},
+            "m_threshold": params.m_threshold, "m_upper": params.m_upper, "mode": args.mode,
+            "within_proof_range": params.within_proof_range,
             "rows": [
                 {
                     "m": row.m, "delta_min": row.delta_min,
                     "ratio": {"num": row.ratio_num, "den": row.ratio_den},
                     "ratio_decimal": row.ratio_decimal, "exceeds_threshold": row.exceeds_threshold,
                 }
-                for row in rep.rows
+                for row in rows
             ],
         },
         lambda: "n,m,r,mode,delta_min,ratio_num,ratio_den,ratio_decimal,exceeds_threshold\n" + "".join(
-            f"{rep.n},{row.m},{rep.r},{rep.mode},{row.delta_min},"
+            f"{params.n},{row.m},{params.r},{args.mode},{row.delta_min},"
             f"{row.ratio_num},{row.ratio_den},{row.ratio_decimal},{row.exceeds_threshold}\n"
-            for row in rep.rows
+            for row in rows
         ),
         lambda: [
-            f"r={rep.r} n={rep.n} epsilon={rep.epsilon_num}/{rep.epsilon_den} "
-            f"delta={rep.delta_num}/{rep.delta_den} window=({rep.m_threshold},{rep.m_upper}]"
+            f"r={params.r} n={params.n} epsilon={epsilon} delta={delta} "
+            f"window=({params.m_threshold},{params.m_upper}]"
         ] + [
             f"m={row.m} delta_min={row.delta_min} ratio={row.ratio_num}/{row.ratio_den} "
             f"({row.ratio_decimal}) exceeds={row.exceeds_threshold}"
-            for row in rep.rows
+            for row in rows
         ],
     )
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    r_set = [int(tok) for tok in args.r.split(",") if tok.strip()]
+    r_set = [integer(tok.strip(" ")) for tok in args.r.split(",") if tok.strip(" ")]
     rep = verify_all(args.n_max, r_set, mode=args.mode)
     _report(
         args,

@@ -590,13 +590,13 @@ def band_violation(rec: ScanRecord) -> Optional[str]:
 
 @dataclass(frozen=True)
 class StabilityParams:
-    """Window just below the r-partite threshold: width ceil(delta*n^2) where
-    delta = epsilon^2/32.
+    """Window (m_threshold, m_upper] just below the r-partite threshold
+    m_upper = t_r(n): width ceil(delta*n^2) where delta = epsilon^2/32.
 
     Any rational epsilon in (0, 1) is accepted; epsilons at or above 2/(r(r+1))
     fall outside the range the underlying argument assumes (shrinking
-    epsilon only strengthens the statement), which the report flags via
-    ``within_proof_range``.
+    epsilon only strengthens the statement), which ``within_proof_range``
+    flags.
     """
 
     epsilon: Fraction
@@ -618,8 +618,12 @@ class StabilityParams:
         return self.epsilon * self.epsilon / 32
 
     @property
+    def m_upper(self) -> int:
+        return turan_size(self.r, self.n)
+
+    @property
     def m_threshold(self) -> int:
-        return turan_size(self.r, self.n) - math.ceil(self.delta * self.n * self.n)
+        return self.m_upper - math.ceil(self.delta * self.n * self.n)
 
     @property
     def within_proof_range(self) -> bool:
@@ -636,21 +640,6 @@ class StabilityRow:
     exceeds_threshold: bool  # ratio > 1 - epsilon
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    r: int
-    n: int
-    epsilon_num: int
-    epsilon_den: int
-    delta_num: int
-    delta_den: int
-    m_threshold: int
-    m_upper: int
-    mode: str
-    within_proof_range: bool
-    rows: tuple[StabilityRow, ...]
-
-
 def _decimal_6(frac: Fraction) -> str:
     q, rem = divmod(frac.numerator * 10**6, frac.denominator)
     if 2 * rem >= frac.denominator:
@@ -665,17 +654,16 @@ def stability_experiment(
     restarts: int = 4,
     iter_budget: int = 200,
     workers: int = 1,
-) -> StabilityReport:
-    """Ratio table value*n/(2rm) over the window just below the threshold.
+) -> tuple[StabilityRow, ...]:
+    """Ratio table value*n/(2rm), one row per m in the window of ``params``.
 
     Purely empirical: the rows report whether each ratio exceeds
     1 - epsilon, nothing is asserted (the underlying statement is
     asymptotic and carries an unknown size threshold).
     """
     r, n = params.r, params.n
-    upper = turan_size(r, n)
     records = scan_m(
-        n, r, max(params.m_threshold + 1, 1), upper, mode=mode, seed=seed,
+        n, r, max(params.m_threshold + 1, 1), params.m_upper, mode=mode, seed=seed,
         restarts=restarts, iter_budget=iter_budget, workers=workers,
     )
     rows = []
@@ -691,19 +679,7 @@ def stability_experiment(
                 exceeds_threshold=ratio > 1 - params.epsilon,
             )
         )
-    return StabilityReport(
-        r=r,
-        n=n,
-        epsilon_num=params.epsilon.numerator,
-        epsilon_den=params.epsilon.denominator,
-        delta_num=params.delta.numerator,
-        delta_den=params.delta.denominator,
-        m_threshold=params.m_threshold,
-        m_upper=upper,
-        mode=mode,
-        within_proof_range=params.within_proof_range,
-        rows=tuple(rows),
-    )
+    return tuple(rows)
 
 
 @dataclass(frozen=True)

@@ -240,16 +240,16 @@ def test_criterion_8_stability_tables():
     for r in (2, 3):
         for eps in (Fraction(1, 4), Fraction(1, 8)):
             params = StabilityParams(epsilon=eps, r=r, n=n)
-            rep = stability_experiment(params, workers=1)
-            assert rep.rows, "table must be complete"
-            assert rep.rows[-1].m == turan_size(r, n)
-            last = rep.rows[-1]
+            rows = stability_experiment(params, workers=1)
+            assert rows, "table must be complete"
+            assert rows[-1].m == turan_size(r, n)
+            last = rows[-1]
             assert last.ratio_num >= last.ratio_den, "threshold row ratio must be >= 1"
-            for row in rep.rows:
+            for row in rows:
                 assert row.ratio_decimal  # fully rendered table
             again = stability_experiment(params, workers=1)
             sharded = stability_experiment(params, workers=2)
-            assert rep == again == sharded
+            assert rows == again == sharded
     elapsed = time.time() - start
     _passed(8, f"4 tables identical across runs and worker counts, {elapsed:.1f}s")
 

@@ -5,7 +5,8 @@ import re
 import pytest
 
 from cliquedeg import __version__, from_edges, to_edge_list_text, to_graph6
-from cliquedeg.cli import _build_parser, main
+from cliquedeg import cli
+from cliquedeg.cli import MAX_EPSILON_CHARS, _build_parser, main
 from cliquedeg.extremal import MAX_RESTARTS, MAX_WORKERS
 from cliquedeg.turan import MAX_PARTS
 
@@ -115,6 +116,233 @@ def test_epsilon_must_be_in_range(capsys):
     assert code == 1 and "epsilon" in err
 
 
+# the whole rendered stability report, byte for byte, in each format
+STABILITY_GOLDENS = {
+    ("stability --n 8 --r 3 --epsilon 9/10", "text"): """\
+cliquedeg {version} | {"command":"stability","epsilon":"9/10","format":"text","iter_budget":200,"mode":"exhaustive","n":8,"out":null,"r":3,"restarts":4,"seed":0,"workers":1}
+r=3 n=8 epsilon=9/10 delta=81/3200 window=(19,21]
+m=20 delta_min=15 ratio=1/1 (1.000000) exceeds=True
+m=21 delta_min=16 ratio=64/63 (1.015873) exceeds=True
+""",
+    ("stability --n 8 --r 3 --epsilon 9/10", "csv"): """\
+# cliquedeg {version} config={"command":"stability","epsilon":"9/10","format":"csv","iter_budget":200,"mode":"exhaustive","n":8,"out":null,"r":3,"restarts":4,"seed":0,"workers":1}
+n,m,r,mode,delta_min,ratio_num,ratio_den,ratio_decimal,exceeds_threshold
+8,20,3,exhaustive,15,1,1,1.000000,True
+8,21,3,exhaustive,16,64,63,1.015873,True
+""",
+    ("stability --n 8 --r 3 --epsilon 9/10", "json"): """\
+{
+  "config": {
+    "command": "stability",
+    "epsilon": "9/10",
+    "format": "json",
+    "iter_budget": 200,
+    "mode": "exhaustive",
+    "n": 8,
+    "out": null,
+    "r": 3,
+    "restarts": 4,
+    "seed": 0,
+    "workers": 1
+  },
+  "result": {
+    "delta": {
+      "den": 3200,
+      "num": 81
+    },
+    "epsilon": {
+      "den": 10,
+      "num": 9
+    },
+    "m_threshold": 19,
+    "m_upper": 21,
+    "mode": "exhaustive",
+    "n": 8,
+    "r": 3,
+    "rows": [
+      {
+        "delta_min": 15,
+        "exceeds_threshold": true,
+        "m": 20,
+        "ratio": {
+          "den": 1,
+          "num": 1
+        },
+        "ratio_decimal": "1.000000"
+      },
+      {
+        "delta_min": 16,
+        "exceeds_threshold": true,
+        "m": 21,
+        "ratio": {
+          "den": 63,
+          "num": 64
+        },
+        "ratio_decimal": "1.015873"
+      }
+    ],
+    "within_proof_range": false
+  },
+  "tool": "cliquedeg",
+  "version": "{version}"
+}
+""",
+    ("stability --n 7 --r 2 --epsilon 1/4 --mode local-search --restarts 0", "text"): """\
+cliquedeg {version} | {"command":"stability","epsilon":"1/4","format":"text","iter_budget":200,"mode":"local-search","n":7,"out":null,"r":2,"restarts":0,"seed":0,"workers":1}
+r=2 n=7 epsilon=1/4 delta=1/512 window=(11,12]
+m=12 delta_min=8 ratio=7/6 (1.166667) exceeds=True
+""",
+    ("stability --n 7 --r 2 --epsilon 1/4 --mode local-search --restarts 0", "csv"): """\
+# cliquedeg {version} config={"command":"stability","epsilon":"1/4","format":"csv","iter_budget":200,"mode":"local-search","n":7,"out":null,"r":2,"restarts":0,"seed":0,"workers":1}
+n,m,r,mode,delta_min,ratio_num,ratio_den,ratio_decimal,exceeds_threshold
+7,12,2,local-search,8,7,6,1.166667,True
+""",
+    ("stability --n 7 --r 2 --epsilon 1/4 --mode local-search --restarts 0", "json"): """\
+{
+  "config": {
+    "command": "stability",
+    "epsilon": "1/4",
+    "format": "json",
+    "iter_budget": 200,
+    "mode": "local-search",
+    "n": 7,
+    "out": null,
+    "r": 2,
+    "restarts": 0,
+    "seed": 0,
+    "workers": 1
+  },
+  "result": {
+    "delta": {
+      "den": 512,
+      "num": 1
+    },
+    "epsilon": {
+      "den": 4,
+      "num": 1
+    },
+    "m_threshold": 11,
+    "m_upper": 12,
+    "mode": "local-search",
+    "n": 7,
+    "r": 2,
+    "rows": [
+      {
+        "delta_min": 8,
+        "exceeds_threshold": true,
+        "m": 12,
+        "ratio": {
+          "den": 6,
+          "num": 7
+        },
+        "ratio_decimal": "1.166667"
+      }
+    ],
+    "within_proof_range": true
+  },
+  "tool": "cliquedeg",
+  "version": "{version}"
+}
+""",
+}
+
+
+@pytest.mark.parametrize("argv, fmt", STABILITY_GOLDENS)
+def test_stability_report_matches_golden(argv, fmt, capsys):
+    code, out, err = run_cli(capsys, *argv.split(), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == STABILITY_GOLDENS[argv, fmt].replace("{version}", __version__)
+
+
+SPELLED_RIGHT = "--epsilon takes a fraction such as 1/4 or a decimal such as 0.25, got "
+TOO_LONG = f"--epsilon length {{}} exceeds cap {MAX_EPSILON_CHARS}"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize(
+    "epsilon, message",
+    [
+        ("1e-5000", SPELLED_RIGHT + "'1e-5000'"),
+        ("1/" + "9" * 4300, TOO_LONG.format(4302)),
+        ("0." + "0" * 62 + "1", TOO_LONG.format(65)),
+        ("\u0663/\u0664", SPELLED_RIGHT + "'\u0663/\u0664'"),
+        ("\uff11/\uff14", SPELLED_RIGHT + "'\uff11/\uff14'"),
+        ("1_0/4_0", SPELLED_RIGHT + "'1_0/4_0'"),
+        ("+1/4", SPELLED_RIGHT + "'+1/4'"),
+        (" 1/4", SPELLED_RIGHT + "' 1/4'"),
+        ("1/4 ", SPELLED_RIGHT + "'1/4 '"),
+        ("1.", SPELLED_RIGHT + "'1.'"),
+        ("-1/4", SPELLED_RIGHT + "'-1/4'"),
+        ("1/0", "epsilon '1/0' has a zero denominator"),
+    ],
+    ids=[
+        "exponent", "4302-chars", "65-chars", "arabic-indic-digits", "fullwidth-digits",
+        "underscores", "plus", "leading-space", "trailing-space", "trailing-dot", "negative",
+        "zero-denominator",
+    ],
+)
+def test_epsilon_is_a_short_ascii_rational(epsilon, message, fmt, capsys, monkeypatch):
+    def no_params(*args, **kwargs):
+        raise AssertionError("epsilon must be refused before StabilityParams is built")
+
+    monkeypatch.setattr(cli, "StabilityParams", no_params)
+    argv = ["stability", "--n", "5", "--r", "2", f"--epsilon={epsilon}", "--format", fmt]
+    assert run_cli(capsys, *argv) == (1, "", f"cliquedeg: error: {message}\n")
+
+
+@pytest.mark.parametrize("epsilon", ["1/4", "0.25", ".25", "3/7", "9/10", "0." + "0" * 61 + "1"])
+def test_epsilon_literals_that_parse(epsilon, capsys):
+    code, out, _ = run_cli(capsys, "stability", "--n", "5", "--r", "2", "--epsilon", epsilon)
+    assert code == 0 and "window=(5,6]" in out
+
+
+# every integer flag of every command; argparse refuses a bad value as it reads it,
+# before it looks for the flags that are still missing
+INTEGER_FLAGS = {
+    "turan": ["--r", "--n"],
+    "greedy": ["--branch-cap"],
+    "delta": ["--r"],
+    "extremal": ["--n", "--m", "--r", "--seed", "--restarts", "--iter-budget", "--workers"],
+    "scan": ["--n", "--r", "--m-from", "--m-to", "--seed", "--restarts", "--iter-budget",
+             "--workers"],
+    "stability": ["--n", "--r", "--seed", "--restarts", "--iter-budget", "--workers"],
+    "verify": ["--n-max"],
+}
+# a fullwidth 3 at every flag, and the other refused spellings at one of them
+INTEGER_CASES = [(c, f, "\uff13") for c, flags in INTEGER_FLAGS.items() for f in flags] + [
+    ("turan", "--r", value) for value in ["\u0663", "+3", "1_0", " 3", "3 ", "3.0", ""]
+]
+
+
+@pytest.mark.parametrize("command, flag, value", INTEGER_CASES)
+def test_integer_flags_take_ascii_integers_only(command, flag, value, capsys):
+    code, out, err = run_cli(capsys, command, flag, value)
+    assert code == 1 and out == ""
+    assert err.endswith(f" error: argument {flag}: invalid integer value: {value!r}\n")
+    assert err.startswith(f"usage: cliquedeg {command} ")
+
+
+@pytest.mark.parametrize(
+    "r, token",
+    [
+        ("\uff12,\uff13", "\uff12"), ("2,+3", "+3"), ("1_0", "1_0"), ("2,\u0663", "\u0663"),
+        ("2;3", "2;3"), ("2,\t3", "\t3"),
+    ],
+)
+def test_verify_r_tokens_are_ascii_integers(r, token, capsys):
+    code, out, err = run_cli(capsys, "verify", "--n-max", "4", "--r", r)
+    assert (code, out) == (1, "")
+    assert err == f"cliquedeg: error: invalid integer value: {token!r}\n"
+
+
+@pytest.mark.parametrize("r", ["2, 3", " 2 ,3 ", "2,,3,"])
+def test_verify_r_tokens_may_carry_ascii_spaces(r, capsys):
+    argv = ["verify", "--n-max", "4", "--format", "json", "--r"]
+    code, out, _ = run_cli(capsys, *argv, r)
+    assert code == 0
+    assert json.loads(out)["result"] == json.loads(run_cli(capsys, *argv, "2,3")[1])["result"]
+
+
 def test_exit_codes_on_errors(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "nonsense")
     assert code == 1
@@ -140,6 +368,10 @@ def test_exit_codes_on_errors(capsys, tmp_path):
     code, out, err = run_cli(capsys, *"extremal --n 5 --m 4 --r 2 --restarts -5".split())
     assert code == 1 and out == ""
     assert err == "cliquedeg: error: restarts and iter-budget must be nonnegative\n"
+    # a negative integer is ASCII too, and meets the check of the value it gives
+    code, out, err = run_cli(capsys, "turan", "--r", "3", "--n", "-1")
+    assert (code, out) == (1, "")
+    assert err == "cliquedeg: error: vertex count must be nonnegative, got -1\n"
     code, _, err = run_cli(capsys, "stability", "--n", "5", "--r", "2", "--epsilon", "1/0")
     assert code == 1 and err.startswith("cliquedeg: error: ") and "Traceback" not in err
     bad = tmp_path / "bad.g6"

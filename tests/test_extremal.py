@@ -805,11 +805,10 @@ def test_stability_params():
 
 
 def test_stability_small_table():
-    rep = stability_experiment(StabilityParams(epsilon=Fraction(1, 4), r=2, n=5))
+    params = StabilityParams(epsilon=Fraction(1, 4), r=2, n=5)
     # window is (t_2(5) - 1, t_2(5)] = {6}
-    assert rep.m_threshold == 5 and rep.m_upper == 6
-    assert len(rep.rows) == 1
-    row = rep.rows[0]
+    assert params.m_threshold == 5 and params.m_upper == 6
+    [row] = stability_experiment(params)
     assert row.m == 6 and row.delta_min == 5
     assert Fraction(row.ratio_num, row.ratio_den) == Fraction(5 * 5, 2 * 2 * 6)
     assert row.ratio_decimal == "1.041667"
@@ -994,3 +993,18 @@ def test_band_holds_on_every_exact_record_at_or_above_threshold():
                 near = near_regular_graph(n, m)
                 val = max_clique_degree_sum(near, r).value
                 assert val * n < 2 * r * m + r * n
+
+
+def test_bound_below_threshold_fails_exactly_without_an_r_clique():
+    """Below t_r(n) the paper's bound 2rm <= value*n is not claimed. At n <= 8 it
+    fails exactly on 1 <= m <= t_{r-1}(n), where the m-edge subgraphs of
+    T_{r-1}(n) hold no r-clique, and holds on the rest of the window."""
+    cells = 0
+    for n in range(3, 9):
+        for r in range(2, n + 1):
+            t_below = turan_size(r - 1, n)
+            for rec in scan_m(n, r, 1, turan_size(r, n) - 1):
+                fails = rec.delta_min * n < 2 * r * rec.m
+                assert fails == (rec.delta_min == 0) == (rec.m <= t_below), rec
+                cells += 1
+    assert cells == 362
