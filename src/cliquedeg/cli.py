@@ -281,14 +281,17 @@ def _cmd_stability(args) -> int:
                 for row in rows
             ],
         },
-        lambda: "n,m,r,mode,delta_min,ratio_num,ratio_den,ratio_decimal,exceeds_threshold\n" + "".join(
+        lambda: "n,m,r,mode,delta_min,ratio_num,ratio_den,ratio_decimal,exceeds_threshold,"
+        "m_threshold,m_upper,within_proof_range\n" + "".join(
             f"{params.n},{row.m},{params.r},{args.mode},{row.delta_min},"
-            f"{row.ratio_num},{row.ratio_den},{row.ratio_decimal},{row.exceeds_threshold}\n"
+            f"{row.ratio_num},{row.ratio_den},{row.ratio_decimal},{row.exceeds_threshold},"
+            f"{params.m_threshold},{params.m_upper},{params.within_proof_range}\n"
             for row in rows
         ),
         lambda: [
             f"r={params.r} n={params.n} epsilon={epsilon} delta={delta} "
-            f"window=({params.m_threshold},{params.m_upper}]"
+            f"window=({params.m_threshold},{params.m_upper}] "
+            f"within_proof_range={params.within_proof_range}"
         ] + [
             f"m={row.m} delta_min={row.delta_min} ratio={row.ratio_num}/{row.ratio_den} "
             f"({row.ratio_decimal}) exceeds={row.exceeds_threshold}"

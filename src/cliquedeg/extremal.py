@@ -20,10 +20,9 @@ graphs_examined counts classes.
 
 A scan's best value so far is a ceiling for the generator, the kernel's
 floor turned around: at r <= 3, where the bound is cheap, a subtree at
-column n - 2 or n - 1, below the column where shards are dealt, is skipped
-when its placed edges already hold an r-clique whose degree sum reaches
-the ceiling.  graphs_examined counts the labelings a scan covers, not the
-ones it visits.
+column n - 2 or n - 1 is skipped when its placed edges already hold an
+r-clique whose degree sum reaches the ceiling.  graphs_examined counts the
+labelings a scan covers, not the ones it visits.
 
 An exact witness is the minimizer with the least labeled encoding
 (graph6's column-order upper-triangle bits, vertices in index order,
@@ -31,11 +30,8 @@ built by ``graph6._column_chunks``).  The scan reaches the least
 relabeling of every minimizer, so this is also the least canonical form
 among them, and no canonical search is needed.  The generator yields in
 ascending encoding order, so a scan keeps the first minimizer it meets.
-A scan over K workers splits the generator's subtrees at column n - 2
-round robin into K shards; the merge (minimum value, ties by least
-labeled encoding) covers the whole space and ignores order, and the
-least canonical minimizer lies in exactly one shard, so the records do
-not depend on K.
+Each (n, m, r) cell is one scan in one process; ``scan_m`` spreads whole
+cells over its workers, so no record depends on the worker count.
 Canonical forms, for local-search tie keys and canonical-mode verify,
 come from ``canonical``.
 """
@@ -46,7 +42,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from numbers import Rational
 from typing import Iterator, Optional
 
@@ -57,7 +53,7 @@ from .graphs import VERTEX_CAP, Graph, ResourceLimitError, _check_vertex_count, 
 from .greedy import _floor_failure, _mean_failure, greedy_prefix_extremes
 from .turan import turan_size
 
-MAX_WORKERS = 8  # worker processes one exact scan may start
+MAX_WORKERS = 8  # worker processes one scan may start
 MAX_RESTARTS = 10_000  # random starts one local search may take
 
 LOCAL_SEARCH = "local-search"
@@ -106,7 +102,7 @@ def _columns(n: int) -> tuple[tuple[tuple[int, int, int, tuple[int, ...]], ...],
 
 
 def _least_adjs(
-    n: int, m: int, part: int = 0, parts: int = 1, r: int = 2, ceiling: Optional[list[int]] = None
+    n: int, m: int, r: int = 2, ceiling: Optional[list[int]] = None
 ) -> Iterator[tuple[list[int], list[int]]]:
     """(rows, degrees) of the swap-least labeled (n, m)-graphs, for
     0 <= m <= n(n-1)/2, in strictly ascending order of their column chunks.
@@ -125,10 +121,8 @@ def _least_adjs(
     columns.  Every least labeling is swap-least, so a scan that sees only
     these still reaches the least labeling of every graph.
 
-    The search is sharded by its subtrees at column n - 2: shard ``part`` of
-    ``parts`` holds those whose index in search order is ``part`` modulo
-    ``parts``; below n = 3 there is one subtree, in shard 0.  The same two
-    lists are yielded every time; a caller that keeps a graph copies it.
+    The same two lists are yielded every time; a caller that keeps a graph
+    copies it.
 
     ``ceiling``, a one-item list the consumer may lower between yields
     (default None: every labeling), turns the kernel's floor around: a
@@ -139,10 +133,8 @@ def _least_adjs(
     least its partial degree sum: for r = 2 the bound is
     ``k + max(degs[i] for i in B)``, for r = 3 it is k plus B's best edge,
     which the r = 2 kernel ``within`` B finds, aborting above
-    ``ceiling[0] - k - 1``.  The test runs only at columns n - 2 and n - 1,
-    after the shard index is counted: a skip above column n - 2 would leave
-    column-(n - 2) subtrees uncounted in one shard alone, and with a ceiling
-    per shard the shards would lose or share subtrees.  r >= 4 is not
+    ``ceiling[0] - k - 1``.  The test runs only at columns n - 2 and n - 1:
+    at r = 3, testing every column made (10, 33, 3) slower.  r >= 4 is not
     pruned: its bound costs an (r - 1)-clique kernel call per placed column,
     and (10, 37, 4) got slower.
     """
@@ -151,7 +143,6 @@ def _least_adjs(
     room = [nslots - j * (j + 1) // 2 for j in range(n)]  # edge slots in the columns after j
     rows = [0] * n
     degs = [0] * n
-    index = -1  # subtrees at column n - 2 met so far
     prune_from = n - 2 if ceiling is not None and r in (2, 3) else n
 
     def beaten(k: int, row: int, below) -> bool:  # every completion's value is >= ceiling[0]
@@ -160,7 +151,6 @@ def _least_adjs(
         return _best_clique(rows, degs, 2, ceiling[0] - k - 1, row) is None
 
     def place(j: int, lo: int, left: int):  # columns 1..j-1 placed, ``left`` edges to go
-        nonlocal index
         if j >= n:
             yield rows, degs
             return
@@ -168,10 +158,6 @@ def _least_adjs(
         for c, k, row, below in columns[j][lo:]:
             if k > left or left - k > room[j]:
                 continue
-            if j == n - 2:
-                index += 1
-                if index % parts != part:
-                    continue
             rows[j] = row
             degs[j] = k
             for i in below:
@@ -183,43 +169,11 @@ def _least_adjs(
                 rows[i] ^= bit
                 degs[i] -= 1
 
-    if n > 2 or part == 0:
-        yield from place(1, 0, m)
+    yield from place(1, 0, m)
 
 
 # ---------------------------------------------------------------------------
 # exhaustive minimum
-
-
-def _min_scan_range(args) -> tuple[Optional[int], Optional[tuple[int, ...]]]:
-    """Partial minimum over one shard of the swap-least labelings.
-
-    ``args`` is (n, m, r, part, parts), the shard as in ``_least_adjs``.
-    Returns (min value, labeled chunks of the tie-least minimizer), or
-    (None, None) when the shard holds no labeling.  The labelings come in
-    ascending encoding order, so the first minimizer met is the shard's
-    least, and the kernel aborts on every graph that cannot beat the best
-    so far: any value it returns is a new best.  That best is also the
-    generator's ceiling, so for r <= 3 the generator skips the subtrees at
-    columns n - 2 and n - 1 whose every graph the kernel would abort on.
-    Before the first best the ceiling is 2m + 1, above every value (the sum
-    of all m edges' end degrees): nothing is skipped, and an abort above 2m
-    is no abort.  The shard stops at its first value 0, below which nothing
-    lies: a graph with no r-clique, which every cell with m <= t_{r-1}(n) or
-    r > n holds (for r = 1, only m = 0).  The chunks are this shard's least
-    swap-least encoding; only the merge over all shards is canonical.
-    Top-level so it can run in worker processes.
-    """
-    n, m, r, part, parts = args
-    ceiling = [2 * m + 1]
-    best_chunks: Optional[tuple[int, ...]] = None
-    for adj, degs in _least_adjs(n, m, part, parts, r, ceiling):
-        val = max_degree_sum_value(adj, degs, r, abort_above=ceiling[0] - 1)
-        if val is not None:
-            ceiling[0], best_chunks = val, _column_chunks(adj, n)
-            if not val:
-                break
-    return (None, None) if best_chunks is None else (ceiling[0], best_chunks)
 
 
 def _regime(m: int, r: int, n: int) -> str:
@@ -256,8 +210,7 @@ def _check_cells(
     """Every argument check of a search in ``mode`` (one of ``modes``) over the cells
     (n, m, r) for m in ``ms``: the shared arguments and ranges in every mode, then
     each m in order, so a bad cell raises before any cell is searched and an empty
-    range still checks.  Local search runs in one process, so it refuses a worker
-    count rather than ignore it."""
+    range still checks."""
     if n < 1:
         raise ValueError(f"vertex count must be at least 1, got {n}")
     if r < 1:
@@ -277,42 +230,40 @@ def _check_cells(
         raise ValueError("restarts and iter-budget must be nonnegative")
     if restarts > MAX_RESTARTS:
         raise ResourceLimitError(f"restart count {restarts} exceeds cap {MAX_RESTARTS}")
-    if mode == LOCAL_SEARCH and workers != 1:
-        raise ValueError(f"local search takes one worker, got workers={workers}")
     nslots = n * (n - 1) // 2
     for m in ms:
         if m < 0 or m > nslots:
             raise ValueError(f"edge count {m} outside 0..{nslots}")
 
 
-def extremal_degree_sum_min(
-    n: int,
-    m: int,
-    r: int,
-    mode: str = "exhaustive",
-    workers: int = 1,
-) -> ScanRecord:
+def extremal_degree_sum_min(n: int, m: int, r: int, mode: str = "exhaustive") -> ScanRecord:
     """Exact minimum over all labeled (n, m)-graphs of the max r-clique degree sum.
 
     The witness is the minimizer with the least labeled encoding, which
     is the least canonical form among the minimizers because the scan
     covers every relabeling of each; the kernel sees only the swap-least
-    ones, which include that least relabeling.
+    ones, which include that least relabeling.  They come in ascending
+    encoding order, so the first minimizer met is the least, and the kernel
+    aborts on every graph that cannot beat the best so far: any value it
+    returns is a new best.  That best is also the generator's ceiling, so
+    for r <= 3 the generator skips the subtrees at columns n - 2 and n - 1
+    whose every graph the kernel would abort on.  Before the first best the
+    ceiling is 2m + 1, above every value (the sum of all m edges' end
+    degrees): nothing is skipped, an abort above 2m is no abort, and the
+    first labeling, which every cell has, is the first best.  The
+    scan stops at its first value 0, below which nothing lies: a graph with
+    no r-clique, which every cell with m <= t_{r-1}(n) or r > n holds (for
+    r = 1, only m = 0).
     """
-    _check_cells(n, r, (m,), mode, EXACT_MODES, workers=workers)
-    total = math.comb(n * (n - 1) // 2, m)
-    if workers == 1 or total < 2 * workers:
-        parts = [_min_scan_range((n, m, r, 0, 1))]
-    else:
-        # imported here: loading multiprocessing adds about 1.5 MB to the
-        # resident size of every process, and single-worker scans never need it
-        from concurrent.futures import ProcessPoolExecutor
-
-        jobs = [(n, m, r, part, workers) for part in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_min_scan_range, jobs))
-    value, chunks = min(p for p in parts if p[0] is not None)
-    return _make_record(n, m, r, mode, value, chunks, total)
+    _check_cells(n, r, (m,), mode, EXACT_MODES)
+    ceiling = [2 * m + 1]
+    for adj, degs in _least_adjs(n, m, r, ceiling):
+        val = max_degree_sum_value(adj, degs, r, abort_above=ceiling[0] - 1)
+        if val is not None:
+            ceiling[0], chunks = val, _column_chunks(adj, n)
+            if not val:
+                break
+    return _make_record(n, m, r, mode, ceiling[0], chunks, math.comb(n * (n - 1) // 2, m))
 
 
 # ---------------------------------------------------------------------------
@@ -557,17 +508,27 @@ def scan_m(
 ) -> list[ScanRecord]:
     """One record per edge count in [m_from, m_to]; empty range gives an empty list.
 
-    Every argument of every cell is checked before the first search."""
+    Every argument of every cell is checked before the first search.  The
+    cells are independent, so with more than one worker and more than one
+    cell they run in min(workers, cells) processes, one pool per scan, in
+    every mode; the records come back in m order whatever the worker count."""
     ms = range(m_from, m_to + 1)
     _check_cells(n, r, ms, mode, workers=workers, restarts=restarts, iter_budget=iter_budget)
     if mode == LOCAL_SEARCH:
-        return [
-            extremal_degree_sum_local_search(
-                n, m, r, seed=seed, restarts=restarts, iter_budget=iter_budget
-            )
-            for m in ms
-        ]
-    return [extremal_degree_sum_min(n, m, r, mode=mode, workers=workers) for m in ms]
+        cell = partial(
+            extremal_degree_sum_local_search, n, r=r, seed=seed, restarts=restarts,
+            iter_budget=iter_budget,
+        )
+    else:
+        cell = partial(extremal_degree_sum_min, n, r=r, mode=mode)
+    if workers == 1 or len(ms) < 2:
+        return list(map(cell, ms))
+    # imported here: loading multiprocessing adds about 1.5 MB to the
+    # resident size of every process, and single-worker scans never need it
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(min(workers, len(ms))) as pool:
+        return list(pool.map(cell, ms))
 
 
 def band_violation(rec: ScanRecord) -> Optional[str]:

@@ -248,8 +248,8 @@ def test_criterion_8_stability_tables():
             for row in rows:
                 assert row.ratio_decimal  # fully rendered table
             again = stability_experiment(params, workers=1)
-            sharded = stability_experiment(params, workers=2)
-            assert rows == again == sharded
+            pooled = stability_experiment(params, workers=2)
+            assert rows == again == pooled
     elapsed = time.time() - start
     _passed(8, f"4 tables identical across runs and worker counts, {elapsed:.1f}s")
 
@@ -282,9 +282,9 @@ def test_criterion_9_infrastructure():
     single = scan_m(6, 3, 9, 13, workers=1)
     for workers in (2, 4):
         assert scan_m(6, 3, 9, 13, workers=workers) == single
-    shard_elapsed = time.time() - t2
+    pool_elapsed = time.time() - t2
     _passed(
         9,
         f"10k round trips {g6_elapsed:.1f}s, 1k x 100 canonical {canon_elapsed:.1f}s, "
-        f"sharded scans identical {shard_elapsed:.1f}s",
+        f"scans identical across worker counts {pool_elapsed:.1f}s",
     )

@@ -120,15 +120,15 @@ def test_epsilon_must_be_in_range(capsys):
 STABILITY_GOLDENS = {
     ("stability --n 8 --r 3 --epsilon 9/10", "text"): """\
 cliquedeg {version} | {"command":"stability","epsilon":"9/10","format":"text","iter_budget":200,"mode":"exhaustive","n":8,"out":null,"r":3,"restarts":4,"seed":0,"workers":1}
-r=3 n=8 epsilon=9/10 delta=81/3200 window=(19,21]
+r=3 n=8 epsilon=9/10 delta=81/3200 window=(19,21] within_proof_range=False
 m=20 delta_min=15 ratio=1/1 (1.000000) exceeds=True
 m=21 delta_min=16 ratio=64/63 (1.015873) exceeds=True
 """,
     ("stability --n 8 --r 3 --epsilon 9/10", "csv"): """\
 # cliquedeg {version} config={"command":"stability","epsilon":"9/10","format":"csv","iter_budget":200,"mode":"exhaustive","n":8,"out":null,"r":3,"restarts":4,"seed":0,"workers":1}
-n,m,r,mode,delta_min,ratio_num,ratio_den,ratio_decimal,exceeds_threshold
-8,20,3,exhaustive,15,1,1,1.000000,True
-8,21,3,exhaustive,16,64,63,1.015873,True
+n,m,r,mode,delta_min,ratio_num,ratio_den,ratio_decimal,exceeds_threshold,m_threshold,m_upper,within_proof_range
+8,20,3,exhaustive,15,1,1,1.000000,True,19,21,False
+8,21,3,exhaustive,16,64,63,1.015873,True,19,21,False
 """,
     ("stability --n 8 --r 3 --epsilon 9/10", "json"): """\
 {
@@ -189,13 +189,13 @@ n,m,r,mode,delta_min,ratio_num,ratio_den,ratio_decimal,exceeds_threshold
 """,
     ("stability --n 7 --r 2 --epsilon 1/4 --mode local-search --restarts 0", "text"): """\
 cliquedeg {version} | {"command":"stability","epsilon":"1/4","format":"text","iter_budget":200,"mode":"local-search","n":7,"out":null,"r":2,"restarts":0,"seed":0,"workers":1}
-r=2 n=7 epsilon=1/4 delta=1/512 window=(11,12]
+r=2 n=7 epsilon=1/4 delta=1/512 window=(11,12] within_proof_range=True
 m=12 delta_min=8 ratio=7/6 (1.166667) exceeds=True
 """,
     ("stability --n 7 --r 2 --epsilon 1/4 --mode local-search --restarts 0", "csv"): """\
 # cliquedeg {version} config={"command":"stability","epsilon":"1/4","format":"csv","iter_budget":200,"mode":"local-search","n":7,"out":null,"r":2,"restarts":0,"seed":0,"workers":1}
-n,m,r,mode,delta_min,ratio_num,ratio_den,ratio_decimal,exceeds_threshold
-7,12,2,local-search,8,7,6,1.166667,True
+n,m,r,mode,delta_min,ratio_num,ratio_den,ratio_decimal,exceeds_threshold,m_threshold,m_upper,within_proof_range
+7,12,2,local-search,8,7,6,1.166667,True,11,12,True
 """,
     ("stability --n 7 --r 2 --epsilon 1/4 --mode local-search --restarts 0", "json"): """\
 {
@@ -343,7 +343,7 @@ def test_verify_r_tokens_may_carry_ascii_spaces(r, capsys):
     assert json.loads(out)["result"] == json.loads(run_cli(capsys, *argv, "2,3")[1])["result"]
 
 
-def test_exit_codes_on_errors(capsys, tmp_path):
+def test_exit_codes_on_errors(capsys, tmp_path, monkeypatch):
     code, _, _ = run_cli(capsys, "nonsense")
     assert code == 1
     code, _, err = run_cli(capsys, "extremal", "--n", "4", "--m", "9", "--r", "2")
@@ -357,14 +357,20 @@ def test_exit_codes_on_errors(capsys, tmp_path):
         "--mode", "local-search", "--restarts", str(MAX_RESTARTS + 1),
     )
     assert code == 1 and "cap" in err
-    # no search starts: local search refuses a worker count, exact modes check restarts
+    # no search starts: local search checks the worker count, exact modes check restarts
     ls = "extremal --n 9 --m 20 --r 3 --mode local-search --restarts 0".split()
-    for workers in (str(MAX_WORKERS + 1), "0"):
-        code, out, err = run_cli(capsys, *ls, "--workers", workers)
-        assert code == 1 and out == "" and err.startswith("cliquedeg: error: "), workers
-    code, out, err = run_cli(capsys, *ls, "--workers", "2")
-    assert code == 1 and out == ""
-    assert err == "cliquedeg: error: local search takes one worker, got workers=2\n"
+
+    def fail(*args):
+        raise AssertionError("a local search started")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("cliquedeg.extremal.near_regular_graph", fail)
+        for workers, message in (
+            (MAX_WORKERS + 1, f"worker count {MAX_WORKERS + 1} exceeds cap {MAX_WORKERS}"),
+            (0, "worker count must be at least 1, got 0"),
+        ):
+            code, out, err = run_cli(capsys, *ls, "--workers", str(workers))
+            assert (code, out, err) == (1, "", f"cliquedeg: error: {message}\n"), workers
     code, out, err = run_cli(capsys, *"extremal --n 5 --m 4 --r 2 --restarts -5".split())
     assert code == 1 and out == ""
     assert err == "cliquedeg: error: restarts and iter-budget must be nonnegative\n"
@@ -515,17 +521,19 @@ def test_exact_work_above_n8_exits_1(argv, message, capsys):
 
 
 def test_workers_flag_does_not_change_output(tmp_path):
-    base = [
-        "scan", "--n", "5", "--r", "2", "--m-from", "6", "--m-to", "8",
-        "--format", "csv",
-    ]
-    out1 = tmp_path / "w1.csv"
-    out2 = tmp_path / "w2.csv"
-    assert main(base + ["--workers", "1", "--out", str(out1)]) == 0
-    assert main(base + ["--workers", "3", "--out", str(out2)]) == 0
-    body1 = out1.read_text().splitlines()[1:]  # audit line echoes the worker count
-    body2 = out2.read_text().splitlines()[1:]
-    assert body1 == body2
+    # an exact scan, and a local-search scan, which runs in worker processes too
+    for argv in (
+        "scan --n 5 --r 2 --m-from 6 --m-to 8",
+        "scan --n 10 --r 3 --m-from 20 --m-to 24 --mode local-search --restarts 1",
+    ):
+        base = argv.split() + ["--format", "csv"]
+        out1 = tmp_path / "w1.csv"
+        out2 = tmp_path / "w2.csv"
+        assert main(base + ["--workers", "1", "--out", str(out1)]) == 0
+        assert main(base + ["--workers", "3", "--out", str(out2)]) == 0
+        body1 = out1.read_text().splitlines()[1:]  # audit line echoes the worker count
+        body2 = out2.read_text().splitlines()[1:]
+        assert body1 == body2, argv
 
 
 SMALL_COMMANDS = {

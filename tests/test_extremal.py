@@ -277,19 +277,16 @@ def test_min_witness_is_least_canonical_minimizer():
     ]
     least = min(canonical_form(g) for g in minimizers)
     assert canonical_form(from_graph6(rec.witness_g6)) == least
-    # the kernel sees only swap-least labelings, so a shard may hold no candidate;
-    # the merge over shards must still find the least canonical minimizer
-    cells = [(n, m, r, (1,)) for n in range(1, 6) for m in range(math.comb(n, 2) + 1) for r in (2, 3)]
-    cells += [(n, m, r, (2, 3, 4)) for n, m, r in (
-        (6, 3, 2), (6, 9, 3), (6, 14, 2), (7, 1, 2), (7, 2, 2), (7, 20, 3),
-    )]
+    # the kernel sees only swap-least labelings, and the ceiling skips some of
+    # them; the scan must still find the least canonical minimizer
+    cells = [(n, m, r) for n in range(1, 6) for m in range(math.comb(n, 2) + 1) for r in (2, 3)]
+    cells += [(6, 3, 2), (6, 9, 3), (6, 14, 2), (7, 1, 2), (7, 2, 2), (7, 20, 3)]
     try:
-        for n, m, r, worker_counts in cells:
+        for n, m, r in cells:
             expected = naive_least_minimizer_g6(n, m, r)
-            for workers in worker_counts:
-                for mode in ("exhaustive", "canonical"):
-                    rec = extremal_degree_sum_min(n, m, r, mode=mode, workers=workers)
-                    assert rec.witness_g6 == expected, (n, m, r, mode, workers)
+            for mode in ("exhaustive", "canonical"):
+                rec = extremal_degree_sum_min(n, m, r, mode=mode)
+                assert rec.witness_g6 == expected, (n, m, r, mode)
     finally:
         _least_bitstring.cache_clear()
         _pair_weights.cache_clear()
@@ -325,44 +322,26 @@ def test_sharded_scan_identical_to_single_worker():
             assert scan_m(6, r, 11, 13, workers=workers) == single, (r, workers)
 
 
-def test_arbitrary_shard_partitions_merge_identically():
-    """For every shard count, the shards are disjoint and together hold every
-    swap-least labeling, and their merged minimum is the one-shard minimum;
-    an empty shard's value is None.  Every cell with n <= 7 runs, at r = 2
-    and 3, where each shard's ceiling prunes against that shard's own best.
+def test_fixed_ceiling_skips_only_labelings_at_or_above_it():
+    """A ceiling held at the cell's value, or one above it, keeps a part of the
+    swap-least labelings in their order, and every labeling it skips has a value
+    at least the ceiling.  Every cell with n <= 7 runs, at r = 2 and 3."""
+    from cliquedeg.extremal import _least_adjs
 
-    A ceiling held at the cell's value, or one above it, keeps each shard to
-    a part of its own labelings, with every labeling whose value lies below
-    the ceiling.  A generator that prunes above column n - 2 breaks this,
-    since its shards miscount their subtrees, although no merged minimum at
-    n <= 8 shows it."""
-    from cliquedeg.extremal import _least_adjs, _min_scan_range
-
-    empty = 0
-    # (4, 1) and (6, 14), among others, have fewer subtrees at column n - 2 than some shard counts
     for n in range(2, 8):
         for m in range(n * (n - 1) // 2 + 1):
             whole = [tuple(rows) for rows, _ in _least_adjs(n, m)]
-            values = {}  # (r, labeling): its value, by the oracle
-            for parts in range(1, 7):
-                shards = [[tuple(rows) for rows, _ in _least_adjs(n, m, part, parts)] for part in range(parts)]
-                assert sorted(sum(shards, [])) == sorted(whole), (n, m, parts)
-                for r in (2, 3):
-                    one = _min_scan_range((n, m, r, 0, 1))
-                    results = [_min_scan_range((n, m, r, part, parts)) for part in range(parts)]
-                    for shard, result in zip(shards, results):
-                        assert (result == (None, None)) == (not shard), (n, m, parts)
-                        empty += not shard
-                    assert min(p for p in results if p[0] is not None) == one, (n, m, r, parts)
-                    for ceiling, (part, shard) in itertools.product((one[0], one[0] + 1), enumerate(shards)):
-                        kept = [tuple(rows) for rows, _ in _least_adjs(n, m, part, parts, r, [ceiling])]
-                        skipped = set(shard).difference(kept)
-                        assert kept == [g for g in shard if g not in skipped], (n, m, r, parts, part)
-                        for g in skipped:
-                            if (r, g) not in values:
-                                values[r, g] = naive_max_clique_degree_sum(n, _edge_set(g), r)
-                            assert values[r, g] >= ceiling, (n, m, r, g)
-    assert empty
+            for r in (2, 3):
+                value = extremal_degree_sum_min(n, m, r).delta_min
+                values = {}  # labeling: its value, by the oracle
+                for ceiling in (value, value + 1):
+                    kept = [tuple(rows) for rows, _ in _least_adjs(n, m, r, [ceiling])]
+                    skipped = set(whole).difference(kept)
+                    assert kept == [g for g in whole if g not in skipped], (n, m, r, ceiling)
+                    for g in skipped:
+                        if g not in values:
+                            values[g] = naive_max_clique_degree_sum(n, _edge_set(g), r)
+                        assert values[g] >= ceiling, (n, m, r, g)
 
 
 def _cli_csv_lines(capsys, *argv):
@@ -472,7 +451,7 @@ def test_every_cell_is_checked_before_the_first_scan(monkeypatch):
 
 
 def test_exact_scan_stops_at_its_first_zero(monkeypatch):
-    """Nothing lies below 0, and a later 0 has a greater encoding, so a shard
+    """Nothing lies below 0, and a later 0 has a greater encoding, so a scan
     stops at its first labeling with no r-clique: the kernel's last call is on
     that labeling.  (7, 10, 4) took 3,832 kernel calls without the stop, and
     takes one.  At r <= 3 the generator's ceiling skips labelings the kernel
@@ -488,7 +467,8 @@ def test_exact_scan_stops_at_its_first_zero(monkeypatch):
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(ext, "max_degree_sum_value", counting)
-    assert ext._min_scan_range((7, 10, 4, 0, 1)) == (0, (0, 0, 0, 0, 15, 63))
+    rec = ext.extremal_degree_sum_min(7, 10, 4)
+    assert (rec.delta_min, rec.witness_g6) == (0, "F?@~w")
     assert len(calls) == 1
     stops = pruned = 0
     for n in range(2, 7):
@@ -502,7 +482,7 @@ def test_exact_scan_stops_at_its_first_zero(monkeypatch):
                 if first is None:
                     continue
                 calls.clear()
-                assert ext._min_scan_range((n, m, r, 0, 1))[0] == 0, (n, m, r)
+                assert ext.extremal_degree_sum_min(n, m, r).delta_min == 0, (n, m, r)
                 assert calls[-1] == labelings[first], (n, m, r)
                 assert len(calls) == first + 1 if r >= 4 else len(calls) <= first + 1, (n, m, r)
                 stops += first > 0
@@ -510,10 +490,16 @@ def test_exact_scan_stops_at_its_first_zero(monkeypatch):
     assert stops and pruned
 
 
-def test_workers_cap_raises_before_any_pool():
+def test_workers_cap_raises_before_any_pool(monkeypatch):
+    import concurrent.futures
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a pool started")
+
     assert MAX_WORKERS >= 4
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fail)
     with pytest.raises(ResourceLimitError):
-        extremal_degree_sum_min(6, 9, 2, workers=MAX_WORKERS + 1)
+        scan_m(6, 2, 8, 10, workers=MAX_WORKERS + 1)
 
 
 def test_restarts_cap_raises_before_any_start(monkeypatch):
@@ -582,7 +568,7 @@ def test_empty_ranges_still_check_their_arguments():
         extremal_degree_sum_min(5, 3, 2, mode="local-search")
     assert scan_m(5, 2, 3, 2) == []
     assert scan_m(5, 2, 3, 2, mode="local-search") == []
-    # every range is checked in every mode, and local search refuses a worker count
+    # every range is checked in every mode
     with pytest.raises(ValueError, match="restarts and iter-budget must be nonnegative"):
         scan_m(5, 2, 3, 2, restarts=-5)
     with pytest.raises(ValueError, match="restarts and iter-budget must be nonnegative"):
@@ -593,11 +579,6 @@ def test_empty_ranges_still_check_their_arguments():
         scan_m(5, 2, 3, 2, mode="local-search", workers=99)
     with pytest.raises(ValueError, match="worker count must be at least 1, got 0"):
         scan_m(5, 2, 3, 2, mode="local-search", workers=0)
-    one_worker = "local search takes one worker"
-    with pytest.raises(ValueError, match=f"^{one_worker}, got workers=2$"):
-        scan_m(5, 2, 3, 2, mode="local-search", workers=2)
-    with pytest.raises(ValueError, match=one_worker):
-        stability_experiment(StabilityParams(Fraction(1, 4), 2, 5), mode="local-search", workers=2)
 
 
 # Local-search records pinned byte for byte: the ten benchmark cells (n = 12..16,
