@@ -14,7 +14,7 @@ from .graphs import Graph, ResourceLimitError
 CANONICAL_MAX_N = 8
 
 
-def _canonical_chunks(adj, n: int, below: tuple[int, ...] | None = None) -> tuple[int, ...] | None:
+def _canonical_chunks(adj, n: int) -> tuple[int, ...]:
     """Least column-order upper-triangle encoding over all vertex orders.
 
     The encoding is one integer "chunk" per position j >= 1 holding the
@@ -28,14 +28,8 @@ def _canonical_chunks(adj, n: int, below: tuple[int, ...] | None = None) -> tupl
     have the same neighbours apart from each other, swapping them is an
     automorphism that fixes the prefix, so their subtrees hold the same
     encodings and only the first one tried is searched.
-
-    With ``below``, an encoding of the same length, the search starts tight
-    at it, as if it were the best known, and returns None when no encoding
-    lies strictly below it.  A caller that only asks whether a graph's
-    encoding beats a known one so skips every subtree above that one.
     """
-    # with a leading 0, the first vertex's empty chunk
-    best: tuple[int, ...] = () if below is None else (0, *below)
+    best: tuple[int, ...] = ()  # with a leading 0, the first vertex's empty chunk
     twins = [
         sum(1 << t for t in range(n) if (adj[w] ^ adj[t]) & ~(1 << w | 1 << t) == 0) & ~(1 << w)
         for w in range(n)
@@ -70,8 +64,7 @@ def _canonical_chunks(adj, n: int, below: tuple[int, ...] | None = None) -> tupl
             chunks.pop()
         return improved_here
 
-    if not rec([(0, w) for w in range(n)], [], below is not None):
-        return None  # only reachable with a bound: an unbounded search always improves
+    rec([(0, w) for w in range(n)], [], False)
     return best[1:]
 
 

@@ -32,8 +32,8 @@ among them, and no canonical search is needed.  The generator yields in
 ascending encoding order, so a scan keeps the first minimizer it meets.
 Each (n, m, r) cell is one scan in one process; ``scan_m`` spreads whole
 cells over its workers, so no record depends on the worker count.
-Canonical forms, for local-search tie keys and canonical-mode verify,
-come from ``canonical``.
+Canonical forms, for canonical-mode verify only, come from ``canonical``;
+local search breaks its ties by the labeled adjacency rows at every n.
 """
 
 from __future__ import annotations
@@ -315,26 +315,15 @@ def near_regular_graph(n: int, m: int) -> Graph:
 # local search
 
 
-def _graph_key(adj, n: int, below=None):
-    """Deterministic tie key: canonical chunks where feasible, else the labeled encoding.
-
-    With ``below``, another graph's key, returns None unless the key lies
-    strictly below it, and the canonical search prunes every prefix above it.
-    """
-    if n <= CANONICAL_MAX_N:
-        return _canonical_chunks(adj, n, below)
-    key = tuple(adj)
-    return key if below is None or key < below else None
-
-
 def _best_swap(cur: list[int], n: int, r: int):
-    """The least (value, key) graph one edge swap away from ``cur``.
+    """The least (value, rows) graph one edge swap away from ``cur``, rows
+    being its adjacency rows, compared as a list.
 
-    Returns (value, key, adjacency), or (None, None, None) when ``cur`` has
-    no edge or no non-edge.  Swaps are taken in (removed edge, added edge)
-    lexicographic order, and a swap whose value exceeds the best one so far
-    is dropped once that is proven, so the choice, first-found among equal
-    keys included, is the one a full evaluation of every swap makes.
+    Returns (value, rows), or (None, None) when ``cur`` has no edge or no
+    non-edge.  Swaps are taken in (removed edge, added edge) lexicographic
+    order, and a swap whose value exceeds the best one so far is dropped
+    once that is proven, so the choice is the one a full evaluation of every
+    swap makes.  Distinct swaps give distinct rows, so no tie remains.
 
     Each value comes from ``cur``'s r-cliques, not from the swapped graph.
     Removing (eu, ev) destroys the cliques holding both ends and lowers
@@ -356,7 +345,7 @@ def _best_swap(cur: list[int], n: int, r: int):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if cur[u] >> v & 1]
     holes = [(u, v) for u in range(n) for v in range(u + 1, n) if not cur[u] >> v & 1]
     if not edges or not holes:
-        return None, None, None  # no swap: skip the clique table, which can be huge
+        return None, None  # no swap: skip the clique table, which can be huge
     degs = list(map(int.bit_count, cur))
     cliques = list(_clique_sums(cur, degs, r))
     size = (len(cliques) + 7) // 8
@@ -376,8 +365,7 @@ def _best_swap(cur: list[int], n: int, r: int):
     every = (1 << len(cliques)) - 1
     rows = list(cur)  # cur with the removed edge taken out; degs follow it
     nb_val: Optional[int] = None
-    nb_key = None
-    nb_adj = None
+    nb_rows: Optional[list[int]] = None
     for eu, ev in edges:
         # the best kept sum, the kept cliques attaining it, and the union of their vertices
         one = inc[eu] ^ inc[ev]
@@ -425,17 +413,13 @@ def _best_swap(cur: list[int], n: int, r: int):
             cand = list(rows)
             cand[hu] |= 1 << hv
             cand[hv] |= 1 << hu
-            if nb_val is None or val < nb_val:
-                nb_val, nb_key, nb_adj = val, _graph_key(cand, n), cand
-            else:
-                key = _graph_key(cand, n, below=nb_key)
-                if key is not None:
-                    nb_key, nb_adj = key, cand
+            if nb_val is None or (val, cand) < (nb_val, nb_rows):
+                nb_val, nb_rows = val, cand
         rows[eu] |= 1 << ev
         rows[ev] |= 1 << eu
         degs[eu] += 1
         degs[ev] += 1
-    return nb_val, nb_key, nb_adj
+    return nb_val, nb_rows
 
 
 def extremal_degree_sum_local_search(
@@ -451,19 +435,26 @@ def extremal_degree_sum_local_search(
     One start from the near-regular graph plus ``restarts`` seeded
     random starts (restart i uses seed + i), at most ``MAX_RESTARTS``.
     A move removes one edge and adds one non-edge; ties in the objective
-    are broken by the graph key, and plateau moves (equal objective,
-    strictly smaller key) are limited to ``iter_budget`` per start.
+    go to the graph with the lesser adjacency rows, compared as a list
+    (vertex 0's row first), at every n, and plateau moves (equal objective,
+    strictly lesser rows) are limited to ``iter_budget`` per start.  The
+    witness is the least (value, rows) graph met, encoded as labeled.
     Swaps are evaluated incrementally from the current graph's cliques
     (see ``_best_swap``) with results identical to re-evaluating every
     swapped graph.  graphs_examined counts the starts plus every
     candidate swap considered, m(N - m) per step.  Deterministic given
     the seed.
+
+    The search stops at the first graph of value 0, a graph with no
+    r-clique, below which nothing lies: it leaves that descent and starts
+    no further restart.  So a value-0 record's witness is the first value-0
+    graph met, and its graphs_examined counts the work up to that graph.
     """
     _check_cells(n, r, (m,), LOCAL_SEARCH, restarts=restarts, iter_budget=iter_budget)
     slots = _slots(n)
     evals = 0
     best_val: Optional[int] = None
-    best_key = None
+    best: Optional[list[int]] = None
     for i in range(restarts + 1):
         start = (
             from_edges(n, random.Random(seed + i).sample(slots, m)) if i else near_regular_graph(n, m)
@@ -471,24 +462,26 @@ def extremal_degree_sum_local_search(
         cur = list(start.adj)
         cur_val = max_degree_sum_value(cur, list(map(int.bit_count, cur)), r)
         evals += 1
-        cur_key = _graph_key(cur, n)
         plateau = 0
         while True:
-            if best_val is None or (cur_val, cur_key) < (best_val, best_key):
-                best_val, best_key = cur_val, cur_key
-            nb_val, nb_key, nb_adj = _best_swap(cur, n, r)
+            if best_val is None or (cur_val, cur) < (best_val, best):
+                best_val, best = cur_val, cur
+            if not cur_val:
+                break  # no r-clique: no graph lies lower
+            nb_val, nb_rows = _best_swap(cur, n, r)
             evals += m * (len(slots) - m)
             if nb_val is None:
                 break
             if nb_val < cur_val:
-                cur, cur_val, cur_key = nb_adj, nb_val, nb_key
-            elif nb_val == cur_val and nb_key < cur_key and plateau < iter_budget:
+                cur, cur_val = nb_rows, nb_val
+            elif nb_val == cur_val and nb_rows < cur and plateau < iter_budget:
                 plateau += 1
-                cur, cur_key = nb_adj, nb_key
+                cur = nb_rows
             else:
                 break
-    chunks = best_key if n <= CANONICAL_MAX_N else _column_chunks(best_key, n)
-    return _make_record(n, m, r, LOCAL_SEARCH, best_val, chunks, evals)
+        if not best_val:
+            break  # value 0: no restart can go lower
+    return _make_record(n, m, r, LOCAL_SEARCH, best_val, _column_chunks(best, n), evals)
 
 
 # ---------------------------------------------------------------------------

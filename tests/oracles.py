@@ -220,18 +220,15 @@ def naive_local_search(n, m, r, seed, restarts, iter_budget, start):
     start) and ``restarts`` random starts, written out longhand.
 
     Every swap's objective is recomputed from scratch.  Ties go to the least
-    key: for n <= 6 the least bitstring over all vertex permutations, whose
-    graph is the witness; for n >= 9 the tuple of adjacency row bitmasks.
+    key at every n, the tuple of adjacency row bitmasks, and the least
+    (value, key) graph met is the witness.  The search stops at its first
+    graph of value 0: it leaves that descent and takes no further start.
     Returns (delta_min, graph6 witness, graphs examined) as the library
     reports them.
     """
-    if 6 < n < 9:
-        raise ValueError("the permutation key is too slow above n = 6")
     slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
 
     def key(eset):
-        if n <= 6:
-            return _least_bitstring(n, tuple(sorted(tuple(sorted(e)) for e in eset)))
         return tuple(sum(1 << v for v in range(n) if frozenset((u, v)) in eset) for u in range(n))
 
     def value(eset):
@@ -241,6 +238,8 @@ def naive_local_search(n, m, r, seed, restarts, iter_budget, start):
     examined = 0
     best = None  # (value, key, edge set)
     for edges in starts:
+        if best is not None and best[0] == 0:
+            break
         cur = frozenset(frozenset(e) for e in edges)
         cur_val = value(cur)
         examined += 1
@@ -248,6 +247,8 @@ def naive_local_search(n, m, r, seed, restarts, iter_budget, start):
         while True:
             if best is None or (cur_val, key(cur)) < best[:2]:
                 best = (cur_val, key(cur), cur)
+            if cur_val == 0:
+                break
             present = [frozenset(s) for s in slots if frozenset(s) in cur]
             absent = [frozenset(s) for s in slots if frozenset(s) not in cur]
             cands = [(cur - {e}) | {h} for e in present for h in absent]
@@ -256,7 +257,6 @@ def naive_local_search(n, m, r, seed, restarts, iter_budget, start):
                 break
             values = [value(c) for c in cands]
             low = min(values)
-            # the first candidate in (removed, added) order with the least key
             nb = min((c for c, v in zip(cands, values) if v == low), key=key)
             if low < cur_val:
                 cur, cur_val = nb, low
@@ -265,13 +265,8 @@ def naive_local_search(n, m, r, seed, restarts, iter_budget, start):
                 cur = nb
             else:
                 break
-    low, least, graph = best
-    if n <= 6:
-        pairs = [(i, j) for j in range(1, n) for i in range(j)]
-        witness = [p for p, bit in zip(pairs, least) if bit == "1"]
-    else:
-        witness = [tuple(sorted(e)) for e in graph]
-    return low, naive_graph6(n, witness), examined
+    low, _, graph = best
+    return low, naive_graph6(n, [tuple(sorted(e)) for e in graph]), examined
 
 
 def naive_best_swap(n, edges, r):

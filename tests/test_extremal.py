@@ -23,7 +23,6 @@ from cliquedeg import (
     verify_all,
     StabilityParams,
 )
-from cliquedeg.canonical import _canonical_chunks
 from cliquedeg.cli import main
 from cliquedeg.extremal import (
     MAX_RESTARTS,
@@ -159,36 +158,6 @@ def test_canonical_search_matches_permutation_oracle():
         _pair_weights.cache_clear()
 
 
-def test_bounded_canonical_search_matches_permutation_oracle():
-    """With a bound, the canonical search returns the least encoding exactly
-    when it lies strictly below the bound, and None otherwise: every labeled
-    graph with n <= 5, and two labelings of every class at n = 6, against the
-    least encoding itself, the graph's own labeled encoding, and the least one
-    nudged one step up and one step down."""
-
-    def chunks(n, bits):  # column j's bits, vertex 0 first, as one integer per column
-        return tuple(int(bits[j * (j - 1) // 2 : j * (j + 1) // 2], 2) for j in range(1, n))
-
-    try:
-        for n in range(7):
-            for orbit in naive_isomorphism_classes(n):
-                least = chunks(n, _least_bitstring(n, orbit[0]))
-                bounds = [least]
-                if n > 1:
-                    bounds.append(least[:-1] + (least[-1] + 1,))
-                    lower = next((j for j, c in enumerate(least) if c), None)
-                    if lower is not None:
-                        bounds.append(least[:lower] + (least[lower] - 1,) + least[lower + 1 :])
-                for edges in orbit if n < 6 else (orbit[0], orbit[len(orbit) // 2]):
-                    adj = from_edges(n, edges).adj
-                    for below in bounds + [chunks(n, naive_bitstring(n, edges))]:
-                        want = least if least < below else None
-                        assert _canonical_chunks(adj, n, below) == want, (n, edges, below)
-    finally:
-        _least_bitstring.cache_clear()
-        _pair_weights.cache_clear()
-
-
 def test_swap_test_keeps_every_least_labeling():
     """The swap-least generator keeps exactly the labelings that no swap of two
     consecutive vertices j, j + 1 (j >= 1) with different neighbours below j
@@ -315,7 +284,7 @@ def test_canonical_mode_at_n8_matches_oracle():
         extremal_degree_sum_min(9, 1, 2, mode="exhaustive")
 
 
-def test_sharded_scan_identical_to_single_worker():
+def test_scan_identical_across_worker_counts():
     for r in (2, 3, 4):
         single = scan_m(6, r, 11, 13, workers=1)
         for workers in (2, 3, 4):
@@ -582,9 +551,9 @@ def test_empty_ranges_still_check_their_arguments():
 
 
 # Local-search records pinned byte for byte: the ten benchmark cells (n = 12..16,
-# r = 3, 4, m = t(r, n), seed 0, no restarts), whose witnesses are encoded from
-# labeled rows, then cells with n <= 8 and restarts, whose witnesses are encoded
-# from canonical keys.
+# r = 3, 4, m = t(r, n), seed 0, no restarts), then cells with n <= 8 and
+# restarts.  Ties go to the labeled adjacency rows at every n, and every
+# witness is the labeled encoding of the least (value, rows) graph met.
 GOLDEN_LOCAL_SEARCH_CELLS = [
     *((n, turan_size(r, n), r, 0, 0) for n in range(12, 17) for r in (3, 4)),
     (6, 9, 2, 3, 4),
@@ -604,11 +573,11 @@ GOLDEN_LOCAL_SEARCH_CSV = r"""n,m,r,mode,delta_min,ratio_num,ratio_den,witness_g
 15,84,4,local-search,46,224,5,N}~~r}}F}^}}w~]^fnw,10585
 16,85,3,local-search,33,255,8,Oq~rz}}Fo~k}W~[^nFzw~,23801
 16,96,4,local-search,48,48,1,OUzvvx}nu~\}|}}~^nr|},2305
-6,9,2,local-search,6,6,1,EFz_,599
-7,16,3,local-search,14,96,7,FFz~o,644
-7,18,4,local-search,21,144,7,F]~vw,382
-8,21,3,local-search,16,63,4,GFzf~w,1326
-8,24,4,local-search,24,24,1,G]~v~w,579
+6,9,2,local-search,6,6,1,E{LW,653
+7,16,3,local-search,14,96,7,Fs~rw,1124
+7,18,4,local-search,21,144,7,F~uzw,760
+8,21,3,local-search,16,63,4,G~w{y{,1179
+8,24,4,local-search,24,24,1,Gvz~r{,579
 """
 
 
@@ -624,8 +593,10 @@ def test_local_search_records_match_golden_csv(capsys):
 
 
 def test_local_search_matches_naive_oracle():
-    # every n <= 6 cell covers r = 1, r = 2, r > n, m = 0 and m = N; the n = 9, 10
-    # cells break ties by the labeled key instead of the canonical one
+    # every n <= 6 cell covers r = 1, r = 2, r > n, m = 0 and m = N; at n = 7, 8,
+    # r = 2..4, the edge counts just above t(r - 1, n) and around t(r, n), then
+    # (8, 13, 3), whose value-0 graphs the descent does not reach, and (7, 12, 2)
+    # with four restarts; ties go to the labeled rows at every n
     cells = [
         (n, m, r, m, restarts, 200)
         for n in range(1, 7)
@@ -633,6 +604,12 @@ def test_local_search_matches_naive_oracle():
         for r in range(1, n + 2)
         for restarts in (0, 2)
     ]
+    for n in (7, 8):
+        for r in (2, 3, 4):
+            t = turan_size(r, n)
+            for m in sorted({turan_size(r - 1, n) + 1, t - 1, t, t + 2}):
+                cells += [(n, m, r, m, 0, 200), (n, m, r, m, 2, 200)]
+    cells += [(8, 13, 3, 0, 0, 200), (7, 12, 2, 0, 4, 200)]
     cells += [
         (9, 24, 3, 2, 1, 30),
         (9, 30, 4, 0, 1, 30),
@@ -648,15 +625,15 @@ def test_local_search_matches_naive_oracle():
         assert (rec.delta_min, rec.witness_g6, rec.graphs_examined) == want, (n, m, r, restarts)
 
 
-def test_best_swap_matches_brute_force_past_canonical_range():
+def test_best_swap_matches_brute_force():
     """The incremental swap scores pick the swap a full re-evaluation of every
-    swapped graph picks, at n = 9..12 where ties go to the labeled key: random,
+    swapped graph picks, ties going to the least rows, at n = 4..12: random,
     near-regular and Turán graphs at r = 1..5, and graphs with no r-clique.
     The oracle re-evaluates about a thousand graphs per case, so n = 11, 12
     take alternate values of r."""
     rng = random.Random(1709)
     cases = []
-    for n in range(9, 13):
+    for n in (*range(9, 13), *range(4, 9)):  # n <= 8 last: the n >= 9 cases keep their draws
         for r in range(1, 6):
             if n > 10 and (n + r) % 2:
                 continue
@@ -664,25 +641,26 @@ def test_best_swap_matches_brute_force_past_canonical_range():
             if kind == 0:
                 edges = [p for p in slot_pairs(n) if rng.random() < rng.uniform(0.3, 0.7)]
             elif kind == 1:
-                edges = list(near_regular_graph(n, rng.randint(n, n * (n - 1) // 2 - n)).edges())
+                most = n * (n - 1) // 2 - n
+                edges = list(near_regular_graph(n, rng.randint(min(n, most), most)).edges())
             else:
                 k = rng.randint(2, 5)
                 edges = [(u, v) for u, v in slot_pairs(n) if u % k != v % k]
             cases.append((n, edges, r))
-    for n in (9, 10):  # no r-clique: Turán graphs with r - 1 parts, and a cycle
+    for n in (6, 8, 9, 10):  # no r-clique: Turán graphs with r - 1 parts, and a cycle
         cases.append((n, [(u, v) for u, v in slot_pairs(n) if u % 3 != v % 3], 4))
         cases.append((n, [(u, v) for u, v in slot_pairs(n) if u % 2 != v % 2], 3))
         cases.append((n, circulant(n, (1,)), 3))
-    cases += [(9, [], 2), (10, slot_pairs(10), 3)]  # no edge, no non-edge
+    # no edge, no non-edge
+    cases += [(9, [], 2), (10, slot_pairs(10), 3), (5, [], 2), (7, slot_pairs(7), 3)]
     for n, edges, r in cases:
         g = from_edges(n, edges)
-        val, key, adj = _best_swap(list(g.adj), n, r)
+        val, rows = _best_swap(list(g.adj), n, r)
         want = naive_best_swap(n, edges, r)
         if want is None:
-            assert (val, key, adj) == (None, None, None)
+            assert (val, rows) == (None, None)
         else:
-            assert (val, key) == want, (n, sorted(edges), r)
-            assert tuple(adj) == key
+            assert (val, tuple(rows)) == want, (n, sorted(edges), r)
 
 
 def test_local_search_lists_no_clique_when_no_swap_exists(monkeypatch):
@@ -701,6 +679,38 @@ def test_local_search_lists_no_clique_when_no_swap_exists(monkeypatch):
     assert (rec.delta_min, rec.witness_g6, rec.graphs_examined, rec.regime) == (
         0, "H??????", 1, "below-threshold"
     )
+
+
+def test_local_search_stops_at_its_first_value_0(monkeypatch):
+    """A graph of value 0 has no r-clique and nothing lies below it, so the
+    search scores no swap of it and starts no further restart: a value-0 cell
+    examines no graph after its first 0.  In these cells a random restart is
+    the first to reach 0, and the restarts after it are not taken."""
+    import cliquedeg.extremal as ext
+
+    scored = []  # the value of each graph whose swaps are scored, in order
+    restarts_taken = []
+    best_swap, random_start = ext._best_swap, ext.from_edges
+
+    def spy_swap(cur, n, r):
+        scored.append(max_clique_degree_sum(from_edges(n, _pairs(cur)), r).value)
+        return best_swap(cur, n, r)
+
+    def spy_start(n, edges):
+        restarts_taken.append(n)
+        return random_start(n, edges)
+
+    monkeypatch.setattr(ext, "_best_swap", spy_swap)
+    monkeypatch.setattr(ext, "from_edges", spy_start)
+    for n, m, r in [(6, 8, 3), (7, 12, 3), (9, 18, 3)]:
+        scored.clear()
+        restarts_taken.clear()
+        rec = extremal_degree_sum_local_search(n, m, r, restarts=4)
+        assert rec.delta_min == 0 and 0 not in scored, (n, m, r)
+        assert 0 < len(restarts_taken) < 4, (n, m, r)
+        starts = 1 + len(restarts_taken)
+        assert rec.graphs_examined == starts + len(scored) * m * (n * (n - 1) // 2 - m)
+        assert max_clique_degree_sum(from_graph6(rec.witness_g6), r).value == 0
 
 
 def test_local_search_reaches_known_minima():
