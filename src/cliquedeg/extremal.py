@@ -55,6 +55,7 @@ from .turan import turan_size
 
 MAX_WORKERS = 8  # worker processes one scan may start
 MAX_RESTARTS = 10_000  # random starts one local search may take
+MAX_ITER_BUDGET = 10_000  # plateau moves one local-search start may take
 
 LOCAL_SEARCH = "local-search"
 # all but local search are exact, and every exact path stops at CANONICAL_MAX_N vertices
@@ -230,6 +231,8 @@ def _check_cells(
         raise ValueError("restarts and iter-budget must be nonnegative")
     if restarts > MAX_RESTARTS:
         raise ResourceLimitError(f"restart count {restarts} exceeds cap {MAX_RESTARTS}")
+    if iter_budget > MAX_ITER_BUDGET:
+        raise ResourceLimitError(f"iter budget {iter_budget} exceeds cap {MAX_ITER_BUDGET}")
     nslots = n * (n - 1) // 2
     for m in ms:
         if m < 0 or m > nslots:
@@ -320,27 +323,51 @@ def _best_swap(cur: list[int], n: int, r: int):
     being its adjacency rows, compared as a list.
 
     Returns (value, rows), or (None, None) when ``cur`` has no edge or no
-    non-edge.  Swaps are taken in (removed edge, added edge) lexicographic
-    order, and a swap whose value exceeds the best one so far is dropped
-    once that is proven, so the choice is the one a full evaluation of every
-    swap makes.  Distinct swaps give distinct rows, so no tie remains.
+    non-edge.  Distinct swaps give distinct rows, so the least (value, rows)
+    is one swap, and the choice is the one a full evaluation of every swap
+    makes: a swap is dropped only once it is proven to lose to the best one
+    so far.
 
     Each value comes from ``cur``'s r-cliques, not from the swapped graph.
     Removing (eu, ev) destroys the cliques holding both ends and lowers
     every other clique's sum by one per end it holds.  Adding the non-edge
-    (hu, hv) raises a kept clique's sum by one if it holds hu or hv (it
-    cannot hold both), and creates the cliques through (hu, hv), whose best
-    sum is d'(hu) + d'(hv) plus the best (r-2)-clique of their common
+    (hu, hv), a hole, raises a kept clique's sum by one if it holds hu or hv
+    (it cannot hold both), and creates the cliques through (hu, hv), whose
+    best sum is d'(hu) + d'(hv) plus the best (r-2)-clique of their common
     neighbourhood, d' being the degrees after the swap.
 
     The cliques are numbered once per call, and two tables of bitmasks over
     those numbers stand in for the clique list: ``inc[x]``, the cliques
     holding vertex x, and ``level[s]``, the cliques of sum s.  Per removed
     edge, the kept cliques that hold neither end keep their sum and those
-    that hold one end lose one, so the best kept sum is the highest s with a
-    clique in ``level[s] & neither`` or ``level[s + 1] & one``.  Each mask is
-    filled as a bytearray and made an int once: OR-ing ``1 << i`` into an
-    int copies it, which would make the build quadratic in the clique count.
+    that hold one end lose one, so the best kept sum, ``kept_best``, is the
+    highest s with a clique in ``level[s] & neither`` or ``level[s + 1] &
+    one``; it is a lower bound on every swap that removes the edge.  Each
+    mask is filled as a bytearray and made an int once: OR-ing ``1 << i``
+    into an int copies it, which would make the build quadratic in the
+    clique count.
+
+    Rows are compared as one packed key, sum(rows[i] << n(n - 1 - i)):
+    vertex 0's row is the most significant n bits, so two keys compare as
+    their row lists do.  A swap's key is ``cur``'s key less the removed
+    edge's two bits plus the hole's two, and the removed edge's term is the
+    same for every hole, so the holes, sorted once by their own bits, come
+    in key order for every removed edge.  Against the best (value, key) so
+    far, (nb_val, nb_key), every swap whose value and key are both proven no
+    smaller loses, so:
+
+    - a removed edge is skipped when ``kept_best > nb_val``, or when
+      ``kept_best == nb_val`` and its least key, with the first hole, is
+      above ``nb_key``;
+    - its holes stop at the first key above ``nb_key`` once ``kept_best >=
+      nb_val``: every later hole has a larger key and no lesser value;
+    - a hole whose value from the kept cliques alone exceeds ``nb_val``, or
+      ties it with a key above ``nb_key``, is dropped before the degree
+      bound and the kernel are read; so is one whose new cliques provably
+      reach above ``nb_val`` (the kernel aborts above ``nb_val`` less the
+      ends' degrees).
+
+    Only the winner's rows are built, from its key.
     """
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if cur[u] >> v & 1]
     holes = [(u, v) for u in range(n) for v in range(u + 1, n) if not cur[u] >> v & 1]
@@ -363,9 +390,12 @@ def _best_swap(cur: list[int], n: int, r: int):
     inc = [int.from_bytes(m, "little") for m in inc]
     level = [0 if m is None else int.from_bytes(m, "little") for m in level]
     every = (1 << len(cliques)) - 1
+    shift = [n * (n - 1 - i) for i in range(n)]  # row i's place in a packed key
+    key = sum(row << s for row, s in zip(cur, shift))
+    holes = sorted((1 << hv + shift[hu] | 1 << hu + shift[hv], hu, hv) for hu, hv in holes)
+    least_hole = holes[0][0]
     rows = list(cur)  # cur with the removed edge taken out; degs follow it
-    nb_val: Optional[int] = None
-    nb_rows: Optional[list[int]] = None
+    nb_val, nb_key = 2 * len(edges) + 1, 0  # above every value: the first swap scored wins
     for eu, ev in edges:
         # the best kept sum, the kept cliques attaining it, and the union of their vertices
         one = inc[eu] ^ inc[ev]
@@ -374,17 +404,21 @@ def _best_swap(cur: list[int], n: int, r: int):
         while not kept and kept_best:
             kept_best -= 1
             kept = level[kept_best] & neither | level[kept_best + 1] & one
-        if nb_val is not None and kept_best > nb_val:
-            continue  # every swap removing this edge is worse
+        base = key - (1 << ev + shift[eu]) - (1 << eu + shift[ev])
+        if kept_best > nb_val or kept_best == nb_val and base + least_hole > nb_key:
+            continue  # every swap removing this edge loses
         kept_top = sum(1 << x for x in range(n) if inc[x] & kept)
         rows[eu] ^= 1 << ev
         rows[ev] ^= 1 << eu
         degs[eu] -= 1
         degs[ev] -= 1
         by_degree = sorted(range(n), key=degs.__getitem__, reverse=True)
-        for hu, hv in holes:
+        for bits, hu, hv in holes:
+            ck = base + bits
+            if ck > nb_key and kept_best >= nb_val:
+                break  # every later hole has a larger key and no lesser value
             val = kept_best + ((kept_top >> hu | kept_top >> hv) & 1)
-            if nb_val is not None and val > nb_val:
+            if val > nb_val or val == nb_val and ck > nb_key:
                 continue
             if r > 1:
                 # a clique through (hu, hv) adds an (r-2)-clique of their common
@@ -402,24 +436,21 @@ def _best_swap(cur: list[int], n: int, r: int):
                     if r <= 3:  # at most one vertex besides the ends: the bound is attained
                         val = bound
                     else:
-                        limit = None if nb_val is None else nb_val - ends
-                        inner = max_degree_sum_value(rows, degs, r - 2, abort_above=limit, within=common)
+                        inner = max_degree_sum_value(
+                            rows, degs, r - 2, abort_above=nb_val - ends, within=common
+                        )
                         if inner is None:
                             continue
                         if inner:  # 0: the common neighbourhood holds no (r-2)-clique
                             val = max(val, ends + inner)
-            if nb_val is not None and val > nb_val:
-                continue
-            cand = list(rows)
-            cand[hu] |= 1 << hv
-            cand[hv] |= 1 << hu
-            if nb_val is None or (val, cand) < (nb_val, nb_rows):
-                nb_val, nb_rows = val, cand
+            if val < nb_val or val == nb_val and ck < nb_key:
+                nb_val, nb_key = val, ck
         rows[eu] |= 1 << ev
         rows[ev] |= 1 << eu
         degs[eu] += 1
         degs[ev] += 1
-    return nb_val, nb_rows
+    full = (1 << n) - 1
+    return nb_val, [nb_key >> s & full for s in shift]
 
 
 def extremal_degree_sum_local_search(
@@ -437,8 +468,9 @@ def extremal_degree_sum_local_search(
     A move removes one edge and adds one non-edge; ties in the objective
     go to the graph with the lesser adjacency rows, compared as a list
     (vertex 0's row first), at every n, and plateau moves (equal objective,
-    strictly lesser rows) are limited to ``iter_budget`` per start.  The
-    witness is the least (value, rows) graph met, encoded as labeled.
+    strictly lesser rows) are limited to ``iter_budget`` per start, at most
+    ``MAX_ITER_BUDGET``.  The witness is the least (value, rows) graph met,
+    encoded as labeled.
     Swaps are evaluated incrementally from the current graph's cliques
     (see ``_best_swap``) with results identical to re-evaluating every
     swapped graph.  graphs_examined counts the starts plus every

@@ -7,7 +7,7 @@ import pytest
 from cliquedeg import __version__, from_edges, to_edge_list_text, to_graph6
 from cliquedeg import cli
 from cliquedeg.cli import MAX_EPSILON_CHARS, _build_parser, main
-from cliquedeg.extremal import MAX_RESTARTS, MAX_WORKERS
+from cliquedeg.extremal import MAX_ITER_BUDGET, MAX_RESTARTS, MAX_WORKERS
 from cliquedeg.turan import MAX_PARTS
 
 
@@ -371,6 +371,10 @@ def test_exit_codes_on_errors(capsys, tmp_path, monkeypatch):
         ):
             code, out, err = run_cli(capsys, *ls, "--workers", str(workers))
             assert (code, out, err) == (1, "", f"cliquedeg: error: {message}\n"), workers
+        for budget in (MAX_ITER_BUDGET + 1, 10**12):
+            code, out, err = run_cli(capsys, *ls, "--iter-budget", str(budget))
+            message = f"iter budget {budget} exceeds cap {MAX_ITER_BUDGET}"
+            assert (code, out, err) == (1, "", f"cliquedeg: error: {message}\n"), budget
     code, out, err = run_cli(capsys, *"extremal --n 5 --m 4 --r 2 --restarts -5".split())
     assert code == 1 and out == ""
     assert err == "cliquedeg: error: restarts and iter-budget must be nonnegative\n"

@@ -20,11 +20,13 @@ from cliquedeg import (
     stability_experiment,
     turan_size,
     to_graph6,
+    turan_graph,
     verify_all,
     StabilityParams,
 )
 from cliquedeg.cli import main
 from cliquedeg.extremal import (
+    MAX_ITER_BUDGET,
     MAX_RESTARTS,
     MAX_WORKERS,
     _best_swap,
@@ -489,6 +491,29 @@ def test_restarts_cap_raises_before_any_start(monkeypatch):
     assert len(calls) == 1
 
 
+def test_iter_budget_cap_raises_before_any_start(monkeypatch):
+    import cliquedeg.extremal as ext
+
+    calls = []
+    build = ext.near_regular_graph
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(ext, "near_regular_graph", counting)
+    over = f"iter budget {MAX_ITER_BUDGET + 1} exceeds cap {MAX_ITER_BUDGET}"
+    with pytest.raises(ResourceLimitError, match=over):
+        extremal_degree_sum_local_search(12, 30, 3, iter_budget=MAX_ITER_BUDGET + 1)
+    with pytest.raises(ResourceLimitError, match=over):
+        scan_m(5, 2, 8, 10, mode="local-search", iter_budget=MAX_ITER_BUDGET + 1)
+    with pytest.raises(ResourceLimitError, match="iter budget 1000000000000 exceeds cap"):
+        scan_m(5, 2, 3, 2, mode="local-search", iter_budget=10**12)
+    assert len(calls) == 0
+    extremal_degree_sum_local_search(5, 4, 2, restarts=0, iter_budget=MAX_ITER_BUDGET)
+    assert len(calls) == 1
+
+
 def test_local_search_scan_checks_every_cell_before_the_first_search(monkeypatch):
     import cliquedeg.extremal as ext
 
@@ -630,7 +655,9 @@ def test_best_swap_matches_brute_force():
     swapped graph picks, ties going to the least rows, at n = 4..12: random,
     near-regular and Turán graphs at r = 1..5, and graphs with no r-clique.
     The oracle re-evaluates about a thousand graphs per case, so n = 11, 12
-    take alternate values of r."""
+    take alternate values of r.  Last come tie-heavy graphs, T_r(n) at
+    m = t_r(n) (numbered part by part) and circulants, where most swaps tie
+    on value and the packed-key order of the holes decides the swap."""
     rng = random.Random(1709)
     cases = []
     for n in (*range(9, 13), *range(4, 9)):  # n <= 8 last: the n >= 9 cases keep their draws
@@ -653,6 +680,11 @@ def test_best_swap_matches_brute_force():
         cases.append((n, circulant(n, (1,)), 3))
     # no edge, no non-edge
     cases += [(9, [], 2), (10, slot_pairs(10), 3), (5, [], 2), (7, slot_pairs(7), 3)]
+    for n in range(6, 11):
+        for r in (3, 4):
+            cases.append((n, list(turan_graph(r, n)[0].edges()), r))
+    for n, steps, rs in ((10, (1, 2), (2, 3, 4)), (10, (1, 3), (3,)), (8, (1, 3), (2, 3, 4))):
+        cases += [(n, circulant(n, steps), r) for r in rs]  # C_10(1, 3) has no triangle
     for n, edges, r in cases:
         g = from_edges(n, edges)
         val, rows = _best_swap(list(g.adj), n, r)
@@ -661,6 +693,23 @@ def test_best_swap_matches_brute_force():
             assert (val, rows) == (None, None)
         else:
             assert (val, tuple(rows)) == want, (n, sorted(edges), r)
+
+
+def test_packed_key_orders_as_the_row_list():
+    """``_best_swap`` compares rows as one packed int, sum(rows[i] << n(n - 1 - i)),
+    vertex 0's row the most significant n bits: its order is that of the row
+    lists, and the rows come back from it."""
+    rng = random.Random(3011)
+    for n in range(1, 13):
+        full = (1 << n) - 1
+        shift = [n * (n - 1 - i) for i in range(n)]
+        lists = [[rng.choice((0, full, rng.getrandbits(n))) for _ in range(n)] for _ in range(60)]
+        lists += [list(lists[0]) for _ in range(2)]  # equal lists give equal keys
+        keys = [sum(row << s for row, s in zip(rows, shift)) for rows in lists]
+        for rows, key in zip(lists, keys):
+            assert [key >> s & full for s in shift] == rows
+        for a, b in itertools.product(range(len(lists)), repeat=2):
+            assert (keys[a] < keys[b]) == (lists[a] < lists[b]), (n, lists[a], lists[b])
 
 
 def test_local_search_lists_no_clique_when_no_swap_exists(monkeypatch):
