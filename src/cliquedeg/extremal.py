@@ -43,6 +43,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
+from itertools import islice
 from numbers import Rational
 from typing import Iterator, Optional
 
@@ -51,11 +52,12 @@ from .cliques import _best_clique, _clique_sums, max_degree_sum_value
 from .graph6 import _chunks_to_graph6, _column_chunks
 from .graphs import VERTEX_CAP, Graph, ResourceLimitError, _check_vertex_count, from_edges
 from .greedy import _floor_failure, _mean_failure, greedy_prefix_extremes
-from .turan import turan_size
+from .turan import turan_graph, turan_size
 
 MAX_WORKERS = 8  # worker processes one scan may start
 MAX_RESTARTS = 10_000  # random starts one local search may take
 MAX_ITER_BUDGET = 10_000  # plateau moves one local-search start may take
+MAX_CLIQUES = 1_000_000  # r-cliques one local-search step may list
 
 LOCAL_SEARCH = "local-search"
 # all but local search are exact, and every exact path stops at CANONICAL_MAX_N vertices
@@ -374,7 +376,9 @@ def _best_swap(cur: list[int], n: int, r: int):
     if not edges or not holes:
         return None, None  # no swap: skip the clique table, which can be huge
     degs = list(map(int.bit_count, cur))
-    cliques = list(_clique_sums(cur, degs, r))
+    cliques = list(islice(_clique_sums(cur, degs, r), MAX_CLIQUES + 1))
+    if len(cliques) > MAX_CLIQUES:
+        raise ResourceLimitError(f"local-search clique table exceeded {MAX_CLIQUES} cliques")
     size = (len(cliques) + 7) // 8
     inc = [bytearray(size) for _ in range(n)]
     level = [None] * (max((s for s, _ in cliques), default=-1) + 2)
@@ -477,12 +481,15 @@ def extremal_degree_sum_local_search(
     candidate swap considered, m(N - m) per step.  Deterministic given
     the seed.
 
-    The search stops at the first graph of value 0, a graph with no
-    r-clique, below which nothing lies: it leaves that descent and starts
-    no further restart.  So a value-0 record's witness is the first value-0
-    graph met, and its graphs_examined counts the work up to that graph.
+    By Turán's theorem the value is 0 exactly when m <= t_{r-1}(n): such a
+    cell returns before any search, graphs_examined 1, with the first m
+    edges of T_p(n), p = min(max(r - 1, 1), n), as its witness.
     """
     _check_cells(n, r, (m,), LOCAL_SEARCH, restarts=restarts, iter_budget=iter_budget)
+    p = min(max(r - 1, 1), n)  # r <= 2: only m = 0; r > n: K_n, every m
+    if m <= turan_size(p, n):
+        witness = from_edges(n, islice(turan_graph(p, n)[0].edges(), m))
+        return _make_record(n, m, r, LOCAL_SEARCH, 0, _column_chunks(witness.adj, n), 1)
     slots = _slots(n)
     evals = 0
     best_val: Optional[int] = None
@@ -498,8 +505,6 @@ def extremal_degree_sum_local_search(
         while True:
             if best_val is None or (cur_val, cur) < (best_val, best):
                 best_val, best = cur_val, cur
-            if not cur_val:
-                break  # no r-clique: no graph lies lower
             nb_val, nb_rows = _best_swap(cur, n, r)
             evals += m * (len(slots) - m)
             if nb_val is None:
@@ -511,8 +516,6 @@ def extremal_degree_sum_local_search(
                 cur = nb_rows
             else:
                 break
-        if not best_val:
-            break  # value 0: no restart can go lower
     return _make_record(n, m, r, LOCAL_SEARCH, best_val, _column_chunks(best, n), evals)
 
 

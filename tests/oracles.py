@@ -221,12 +221,19 @@ def naive_local_search(n, m, r, seed, restarts, iter_budget, start):
 
     Every swap's objective is recomputed from scratch.  Ties go to the least
     key at every n, the tuple of adjacency row bitmasks, and the least
-    (value, key) graph met is the witness.  The search stops at its first
-    graph of value 0: it leaves that descent and takes no further start.
+    (value, key) graph met is the witness.  A cell with at most as many edges
+    as T_p(n), p = min(max(r - 1, 1), n), takes no search: its one graph
+    examined is the first m edges, in lexicographic order, of T_p(n), with
+    the parts numbered part by part, the larger parts first.
     Returns (delta_min, graph6 witness, graphs examined) as the library
     reports them.
     """
     slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    p = min(max(r - 1, 1), n)
+    part = [i for i in range(p) for _ in range(n // p + (i < n % p))]
+    turan = [(u, v) for u, v in slots if part[u] != part[v]]
+    if m <= len(turan):
+        return naive_max_clique_degree_sum(n, turan[:m], r), naive_graph6(n, turan[:m]), 1
 
     def key(eset):
         return tuple(sum(1 << v for v in range(n) if frozenset((u, v)) in eset) for u in range(n))
@@ -238,8 +245,6 @@ def naive_local_search(n, m, r, seed, restarts, iter_budget, start):
     examined = 0
     best = None  # (value, key, edge set)
     for edges in starts:
-        if best is not None and best[0] == 0:
-            break
         cur = frozenset(frozenset(e) for e in edges)
         cur_val = value(cur)
         examined += 1
@@ -247,8 +252,6 @@ def naive_local_search(n, m, r, seed, restarts, iter_budget, start):
         while True:
             if best is None or (cur_val, key(cur)) < best[:2]:
                 best = (cur_val, key(cur), cur)
-            if cur_val == 0:
-                break
             present = [frozenset(s) for s in slots if frozenset(s) in cur]
             absent = [frozenset(s) for s in slots if frozenset(s) not in cur]
             cands = [(cur - {e}) | {h} for e in present for h in absent]

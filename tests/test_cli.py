@@ -358,7 +358,8 @@ def test_exit_codes_on_errors(capsys, tmp_path, monkeypatch):
     )
     assert code == 1 and "cap" in err
     # no search starts: local search checks the worker count, exact modes check restarts
-    ls = "extremal --n 9 --m 20 --r 3 --mode local-search --restarts 0".split()
+    # (m = 21 is above t_2(9) = 20, so the cell would search)
+    ls = "extremal --n 9 --m 21 --r 3 --mode local-search --restarts 0".split()
 
     def fail(*args):
         raise AssertionError("a local search started")
@@ -526,9 +527,10 @@ def test_exact_work_above_n8_exits_1(argv, message, capsys):
 
 def test_workers_flag_does_not_change_output(tmp_path):
     # an exact scan, and a local-search scan, which runs in worker processes too
+    # (m = 25 is t_2(10), value 0 with no search; the cells above it search)
     for argv in (
         "scan --n 5 --r 2 --m-from 6 --m-to 8",
-        "scan --n 10 --r 3 --m-from 20 --m-to 24 --mode local-search --restarts 1",
+        "scan --n 10 --r 3 --m-from 25 --m-to 29 --mode local-search --restarts 1",
     ):
         base = argv.split() + ["--format", "csv"]
         out1 = tmp_path / "w1.csv"

@@ -620,8 +620,9 @@ def test_local_search_records_match_golden_csv(capsys):
 def test_local_search_matches_naive_oracle():
     # every n <= 6 cell covers r = 1, r = 2, r > n, m = 0 and m = N; at n = 7, 8,
     # r = 2..4, the edge counts just above t(r - 1, n) and around t(r, n), then
-    # (8, 13, 3), whose value-0 graphs the descent does not reach, and (7, 12, 2)
-    # with four restarts; ties go to the labeled rows at every n
+    # (8, 13, 3), below t(2, 8) = 16, whose zero the descent from the near-regular
+    # start misses and T_2(8) gives, and (7, 12, 2) with four restarts; ties go
+    # to the labeled rows at every n
     cells = [
         (n, m, r, m, restarts, 200)
         for n in range(1, 7)
@@ -730,36 +731,42 @@ def test_local_search_lists_no_clique_when_no_swap_exists(monkeypatch):
     )
 
 
-def test_local_search_stops_at_its_first_value_0(monkeypatch):
-    """A graph of value 0 has no r-clique and nothing lies below it, so the
-    search scores no swap of it and starts no further restart: a value-0 cell
-    examines no graph after its first 0.  In these cells a random restart is
-    the first to reach 0, and the restarts after it are not taken."""
+def test_local_search_is_0_exactly_up_to_turan():
+    """By Turán's theorem T_{r-1}(n) has no r-clique and every graph with more
+    edges has one, so local search reports 0 exactly when m <= t_{r-1}(n), and
+    there it examines one graph, an m-edge graph with no r-clique; a search
+    that reached 0 above t_{r-1}(n) would show a kernel bug.  For r > n every
+    cell is 0, witnessed by the first m edges of K_n."""
+    for n in range(9, 13):
+        for r in range(2, 6):
+            t_below = turan_size(r - 1, n)
+            for m in range(n * (n - 1) // 2 + 1):
+                rec = extremal_degree_sum_local_search(n, m, r, restarts=1)
+                assert (rec.delta_min == 0) == (m <= t_below), (n, m, r)
+                if m <= t_below:
+                    witness = from_graph6(rec.witness_g6)
+                    assert (rec.graphs_examined, witness.m) == (1, m), (n, m, r)
+                    assert max_clique_degree_sum(witness, r).witness is None, (n, m, r)
+        for r in (n + 1, 10**6):
+            for m in range(n * (n - 1) // 2 + 1):
+                rec = extremal_degree_sum_local_search(n, m, r, restarts=1)
+                want = to_graph6(from_edges(n, slot_pairs(n)[:m]))
+                got = (rec.delta_min, rec.witness_g6, rec.graphs_examined, rec.regime)
+                assert got == (0, want, 1, "no-r-clique"), (n, m, r)
+
+
+def test_local_search_caps_its_clique_table(monkeypatch):
+    """A step lists at most MAX_CLIQUES r-cliques of its graph and raises once
+    there are more.  Every graph the search meets from K_8 minus an edge is
+    K_8 minus an edge, with C(8, 4) - C(6, 2) = 55 cliques of size 4."""
     import cliquedeg.extremal as ext
 
-    scored = []  # the value of each graph whose swaps are scored, in order
-    restarts_taken = []
-    best_swap, random_start = ext._best_swap, ext.from_edges
-
-    def spy_swap(cur, n, r):
-        scored.append(max_clique_degree_sum(from_edges(n, _pairs(cur)), r).value)
-        return best_swap(cur, n, r)
-
-    def spy_start(n, edges):
-        restarts_taken.append(n)
-        return random_start(n, edges)
-
-    monkeypatch.setattr(ext, "_best_swap", spy_swap)
-    monkeypatch.setattr(ext, "from_edges", spy_start)
-    for n, m, r in [(6, 8, 3), (7, 12, 3), (9, 18, 3)]:
-        scored.clear()
-        restarts_taken.clear()
-        rec = extremal_degree_sum_local_search(n, m, r, restarts=4)
-        assert rec.delta_min == 0 and 0 not in scored, (n, m, r)
-        assert 0 < len(restarts_taken) < 4, (n, m, r)
-        starts = 1 + len(restarts_taken)
-        assert rec.graphs_examined == starts + len(scored) * m * (n * (n - 1) // 2 - m)
-        assert max_clique_degree_sum(from_graph6(rec.witness_g6), r).value == 0
+    want = extremal_degree_sum_local_search(8, 27, 4, restarts=0)
+    monkeypatch.setattr(ext, "MAX_CLIQUES", 55)
+    assert extremal_degree_sum_local_search(8, 27, 4, restarts=0) == want
+    monkeypatch.setattr(ext, "MAX_CLIQUES", 54)
+    with pytest.raises(ResourceLimitError, match="clique table exceeded 54 cliques"):
+        extremal_degree_sum_local_search(8, 27, 4, restarts=0)
 
 
 def test_local_search_reaches_known_minima():

@@ -52,7 +52,6 @@ def test_no_unused_module_imports():
 # public names with no reference in the package or perfbench, each kept for its own reason
 UNREFERENCED_EXPORTS = {
     "canonical_form": "acceptance criterion 9 tests it as its subject",
-    "turan_graph": "acceptance criterion 1 tests it as its subject",
     "to_edge_list_text": "the only writer of the edge-list input format of the CLI",
 }
 
