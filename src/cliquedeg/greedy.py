@@ -3,10 +3,11 @@
 The construction starts from a maximum-degree vertex and repeatedly
 appends a maximum-degree vertex of the common neighborhood of the
 vertices chosen so far, until that neighborhood is empty.  Degree ties
-make the outcome non-unique.  One depth-first walker yields every run
-in lexicographic order: ``all_greedy_sequences`` collects its runs,
-and ``greedy_sequence`` is its first run, the one that breaks every
-tie by lowest index.
+make the outcome non-unique.  ``greedy_sequence`` breaks every tie by
+lowest index.  ``all_greedy_sequences`` first counts the runs with a
+memo keyed by the set of vertices chosen so far, refuses a count above
+its branch cap before any run is built, and otherwise walks the memo
+once, appending every run in lexicographic order.
 
 The check functions evaluate, per graph, the bounds that every such
 sequence must satisfy once the edge count reaches the balanced
@@ -27,7 +28,7 @@ preserves every quantity checked while avoiding factorial blowup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .graph6 import to_graph6
 from .graphs import Graph, ResourceLimitError, _bits
@@ -67,52 +68,88 @@ def _top(cand: int, classes: list[tuple[int, int]]) -> tuple[int, int]:
             return d, cand & mask
 
 
-def _runs(g: Graph) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every greedy run as (vertices, prefix degree sums), depth first.
-
-    Choices are tried in increasing vertex order, so the runs come in
-    lexicographic order of their vertex tuples, each once.
-    """
+def _start(g: Graph) -> list[tuple[int, int]]:
+    """The degree classes of ``g``, which must have a vertex to start from."""
     if g.n == 0:
         raise ValueError("greedy construction needs at least one vertex")
-    adj = g.adj
-    classes = _degree_classes(g.degrees())
-
-    def rec(verts, sums, total, cand):
-        if not cand:
-            yield verts, sums
-            return
-        d, top = _top(cand, classes)
-        total += d
-        for v in _bits(top):
-            yield from rec(verts + (v,), sums + (total,), total, cand & adj[v])
-
-    return rec((), (), 0, (1 << g.n) - 1)
+    return _degree_classes(g.degrees())
 
 
 def greedy_sequence(g: Graph) -> GreedySequence:
     """Run the construction once, breaking every degree tie by lowest vertex index."""
-    vertices, sums = next(_runs(g))
-    return GreedySequence(vertices, sums, "lowest-index")
+    classes = _start(g)
+    cand = (1 << g.n) - 1
+    vertices, sums, total = [], [], 0
+    while cand:
+        d, top = _top(cand, classes)
+        v = (top & -top).bit_length() - 1
+        total += d
+        vertices.append(v)
+        sums.append(total)
+        cand &= g.adj[v]
+    return GreedySequence(tuple(vertices), tuple(sums), "lowest-index")
 
 
 def all_greedy_sequences(g: Graph, branch_cap: int = DEFAULT_BRANCH_CAP) -> list[GreedySequence]:
     """Every vertex sequence the construction can produce, over all tie choices.
 
-    Returns the distinct sequences sorted by vertex tuple.  Raises
-    ResourceLimitError once more than ``branch_cap`` sequences complete, and
-    before any run when ``branch_cap`` exceeds ``MAX_BRANCH_CAP``.
+    Returns the distinct sequences sorted by vertex tuple.  The runs are
+    counted first: a count above ``branch_cap`` raises ResourceLimitError
+    before the first run is built, and a ``branch_cap`` above
+    ``MAX_BRANCH_CAP`` is refused before the count.
+
+    A prefix's completions depend on its vertex set alone (the candidates
+    are their common neighbours), so the count memoizes, per set, its
+    completions and its greedy step, which the walk then reads.  Each call
+    gets the room its ancestors leave under the cap and stops once past
+    it, which stops every ancestor.  So the sets of one size that the
+    count completes hold at most ``branch_cap`` runs between them, and as
+    their runs are disjoint, the memo holds at most
+    omega * (branch_cap + 1) + 1 sets, omega the longest run.
     """
     if branch_cap < 1:
         raise ValueError(f"branch cap must be at least 1, got {branch_cap}")
     if branch_cap > MAX_BRANCH_CAP:
         raise ResourceLimitError(f"branch cap {branch_cap} exceeds cap {MAX_BRANCH_CAP}")
+    classes = _start(g)
+    adj = g.adj
+    memo: dict[int, tuple[int, int, int]] = {}  # set -> (completions, top degree, top mask)
+
+    def count(state, cand, room):
+        """Completions of ``state``: exact when at most ``room``, else above it."""
+        got = memo.get(state)
+        if got is not None:
+            return got[0]
+        if not cand:
+            memo[state] = (1, 0, 0)
+            return 1
+        d, top = _top(cand, classes)
+        total, rest = 0, top
+        while rest and total <= room:
+            b = rest & -rest
+            rest ^= b
+            total += count(state | b, cand & adj[b.bit_length() - 1], room - total)
+        memo[state] = (total, d, top)
+        return total
+
+    if count(0, (1 << g.n) - 1, branch_cap) > branch_cap:
+        raise ResourceLimitError(f"greedy tie branching exceeded branch cap {branch_cap}")
     out: list[GreedySequence] = []
-    for vertices, sums in _runs(g):
-        if len(out) >= branch_cap:
-            raise ResourceLimitError(f"greedy tie branching exceeded branch cap {branch_cap}")
-        out.append(GreedySequence(vertices, sums, "all-branches"))
+    _walk(memo, out, 0, (), (), 0)
     return out
+
+
+def _walk(memo, out, state, vertices, sums, total) -> None:
+    """Append to ``out``, in lexicographic order, every run through the
+    prefix set ``state``, reading each set's greedy step from the memo of
+    ``all_greedy_sequences``' count."""
+    _, d, top = memo[state]
+    if not top:
+        out.append(GreedySequence(vertices, sums, "all-branches"))
+        return
+    total += d
+    for v in _bits(top):
+        _walk(memo, out, state | 1 << v, vertices + (v,), sums + (total,), total)
 
 
 def _prefix_search(

@@ -83,15 +83,25 @@ def test_branch_cap():
         all_greedy_sequences(g, branch_cap=0)
 
 
+def _refuse_runs(monkeypatch):
+    """Fail at once on any call to the greedy walk or any GreedySequence built."""
+
+    def refuse(what):
+        def spy(*args):
+            raise AssertionError(what)
+
+        return spy
+
+    monkeypatch.setattr(greedy, "_walk", refuse("the greedy walk ran"))
+    monkeypatch.setattr(greedy, "GreedySequence", refuse("a GreedySequence was built"))
+
+
 def test_branch_cap_above_the_limit_is_refused_before_any_run(monkeypatch, tmp_path, capsys):
     """K_12 has 12! greedy runs, so a cap above MAX_BRANCH_CAP could keep
     hundreds of millions of them; it is refused before the walk starts."""
     from cliquedeg.cli import main
 
-    def refuse(g):
-        raise AssertionError("the greedy walk ran")
-
-    monkeypatch.setattr(greedy, "_runs", refuse)
+    _refuse_runs(monkeypatch)
     g = from_edges(12, slot_pairs(12))
     too_many = greedy.MAX_BRANCH_CAP + 1
     with pytest.raises(ResourceLimitError, match=f"branch cap {too_many} exceeds cap"):
@@ -103,6 +113,31 @@ def test_branch_cap_above_the_limit_is_refused_before_any_run(monkeypatch, tmp_p
     assert capsys.readouterr().err == (
         f"cliquedeg: error: branch cap {too_many} exceeds cap {greedy.MAX_BRANCH_CAP}\n"
     )
+
+
+def test_a_cap_hit_builds_no_run(monkeypatch, tmp_path, capsys):
+    """The runs are counted before any is built: K_12 (12! runs) at the
+    largest cap and K_4 (24 runs) at cap 23 are refused with no walk and
+    no GreedySequence, in the library and in the CLI."""
+    from cliquedeg.cli import main
+
+    _refuse_runs(monkeypatch)
+    for n, cap in ((12, greedy.MAX_BRANCH_CAP), (4, 23)):
+        g = from_edges(n, slot_pairs(n))
+        message = f"greedy tie branching exceeded branch cap {cap}"
+        with pytest.raises(ResourceLimitError) as e:
+            all_greedy_sequences(g, branch_cap=cap)
+        assert str(e.value) == message
+        path = tmp_path / f"k{n}.g6"
+        path.write_text(to_graph6(g) + "\n")
+        code = main(["greedy", "--input", str(path), "--all-branches", "--branch-cap", str(cap)])
+        assert code == 1
+        assert capsys.readouterr().err == f"cliquedeg: error: {message}\n"
+    # the spies are in place: a cap that admits every run reaches the walk
+    with pytest.raises(AssertionError, match="the greedy walk ran"):
+        all_greedy_sequences(from_edges(4, slot_pairs(4)), branch_cap=24)
+    with pytest.raises(AssertionError, match="a GreedySequence was built"):
+        greedy_sequence(from_edges(4, slot_pairs(4)))
 
 
 def test_deterministic_run_is_among_all_branches():
@@ -286,6 +321,12 @@ def _check_against_naive_runs(g):
     runs = naive_greedy_sequences(n, edges)
     deg = naive_degrees(n, edges)
     assert greedy_sequence(g).vertices == min(runs)
+    # the count at the cap boundary: exactly the runs at cap = count, a refusal one below
+    count = len(runs)
+    assert [s.vertices for s in all_greedy_sequences(g, branch_cap=count)] == sorted(runs)
+    if count > 1:
+        with pytest.raises(ResourceLimitError, match=f"exceeded branch cap {count - 1}$"):
+            all_greedy_sequences(g, branch_cap=count - 1)
     for r in range(1, n + 2):
         expect = naive_prefix_extremes(n, edges, r)
         assert greedy_prefix_extremes(g.adj, g.degrees(), r) == expect, (to_graph6(g), r)
