@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, _degree_classes
 
 
 @dataclass(frozen=True)
@@ -34,16 +34,21 @@ def _clique_sums(
     vertex weight (Carraghan and Pardalos 1990, Östergård 2001).  A clique is
     yielded only when its sum exceeds ``floor[0]``, and at an open clique of
     degree sum ``acc`` that still needs ``need`` vertices, a candidate v is
-    not opened when ``acc + degs[v] + (need - 1) * max(degs) <= floor[0]``:
-    no clique through v could be yielded.  ``_best_clique`` raises the floor
-    to each sum it is given, so a dropped clique could at most tie the best
-    so far, and a tie met later in lex order could not replace it; a clique
-    above ``abort_above`` beats every floor below it and is never dropped,
-    so the abort stays exact.
+    not opened when ``acc + degs[v] + (need - 1) * max(degs) <= floor[0]``,
+    nor, under a floor of 0 or more, when ``acc + degs[v]`` plus the
+    need - 1 largest degrees among its candidates ``w & adj[v]`` is
+    ``<= floor[0]``: no clique through v could be yielded.  That sum is read
+    from the degree classes, highest degree first, which are built at the
+    first node that needs them, so a walk with no floor never builds them.
+    ``_best_clique`` raises the floor to each sum it is given, so a dropped
+    clique could at most tie the best so far, and a tie met later in lex
+    order could not replace it; a clique above ``abort_above`` beats every
+    floor below it and is never dropped, so the abort stays exact.
     """
     if floor is None:
         floor = [-1]
     top = max(degs, default=0)
+    classes = None
     if cands is None:
         cands = (1 << len(adj)) - 1
     stack = [(0, 0, r, cands)]  # (degree sum, members, still needed, candidates)
@@ -62,10 +67,26 @@ def _clique_sums(
             stack.append((acc, members, need, w))
             v = b.bit_length() - 1
             s = acc + degs[v]
-            if s + (need - 1) * top > floor[0]:
-                cand = w & adj[v]
-                if cand.bit_count() >= need - 1:
-                    stack.append((s, members | b, need - 1, cand))
+            k = need - 1
+            if s + k * top <= floor[0]:
+                continue
+            cand = w & adj[v]
+            if cand.bit_count() < k:
+                continue
+            if floor[0] >= 0:
+                if classes is None:
+                    classes = _degree_classes(degs)
+                bound = s
+                for d, mask in classes:  # the k largest degrees in cand
+                    c = (cand & mask).bit_count()
+                    if c >= k:
+                        bound += k * d
+                        break
+                    bound += c * d
+                    k -= c
+                if bound <= floor[0]:
+                    continue
+            stack.append((s, members | b, need - 1, cand))
 
 
 def enumerate_r_cliques(g: Graph, r: int) -> Iterator[tuple[int, ...]]:

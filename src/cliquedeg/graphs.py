@@ -24,6 +24,14 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= b
 
 
+def _degree_classes(degs) -> list[tuple[int, int]]:
+    """(degree, vertex mask) for each degree present, highest degree first."""
+    masks: dict[int, int] = {}
+    for v, d in enumerate(degs):
+        masks[d] = masks.get(d, 0) | 1 << v
+    return sorted(masks.items(), reverse=True)
+
+
 class Graph:
     """Immutable simple graph: vertex count ``n`` plus one adjacency bitmask per vertex.
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graph6 import to_graph6
-from .graphs import Graph, ResourceLimitError, _bits
+from .graphs import Graph, ResourceLimitError, _bits, _degree_classes
 from .turan import turan_size
 
 DEFAULT_BRANCH_CAP = 100_000
@@ -50,14 +50,6 @@ class GreedySequence:
     vertices: tuple[int, ...]
     degree_sums: tuple[int, ...]
     tie_policy: str  # "lowest-index" or "all-branches"
-
-
-def _degree_classes(degs) -> list[tuple[int, int]]:
-    """(degree, vertex mask) for each degree present, highest degree first."""
-    masks: dict[int, int] = {}
-    for v, d in enumerate(degs):
-        masks[d] = masks.get(d, 0) | 1 << v
-    return sorted(masks.items(), reverse=True)
 
 
 def _top(cand: int, classes: list[tuple[int, int]]) -> tuple[int, int]:

@@ -301,3 +301,45 @@ def test_golden_delta_witnesses_beyond_the_oracle():
         results = [max_clique_degree_sum(g, r) for r in (3, 4, 5)]
         got.append((n, g.m, [(res.value, res.witness) for res in results]))
     assert got == GOLDEN_DELTAS
+
+
+def _hub_graphs():
+    """Seeded graphs whose highest degrees are hubs outside the densest part: a
+    dense core on half the vertices, sparse edges elsewhere, and four pairwise
+    non-adjacent hubs joined to nearly every other vertex.  A clique holds at
+    most one hub, so the largest degrees among a vertex's candidates span
+    several degree classes."""
+    rng = random.Random(4024)
+    for n in (24, 32, 40):
+        core = set(rng.sample(range(n), n // 2))
+        hubs = set(rng.sample(sorted(set(range(n)) - core), 4))
+        edges = []
+        for u, v in slot_pairs(n):
+            if u in hubs and v in hubs:
+                continue
+            p = 0.95 if u in hubs or v in hubs else 0.9 if u in core and v in core else 0.4
+            if rng.random() < p:
+                edges.append((u, v))
+        yield n, edges
+
+
+def test_kernel_matches_the_unfloored_walk_beyond_the_oracle():
+    """Past the oracle's reach, the floored kernel, which prunes by the largest
+    candidate degrees, must give the first maximum of the walk with no floor,
+    which that bound never touches, inside ``within`` masks too, and the exact
+    abort around it."""
+    from cliquedeg.cliques import _best_clique, _clique_sums
+
+    rng = random.Random(3306)
+    for n, edges in [*_golden_graphs(), *_hub_graphs()]:
+        g = from_edges(n, edges)
+        degs = g.degrees()
+        for r in range(3, 7):
+            for within in (None, rng.getrandbits(n) | rng.getrandbits(n)):
+                sums = list(_clique_sums(g.adj, degs, r, within))
+                value = max((s for s, _ in sums), default=0)
+                first = next((bits for s, bits in sums if s == value), 0)
+                assert _best_clique(g.adj, degs, r, within=within) == (value, first), (n, r, within)
+                for cutoff in (value - 1, value, value + 1):
+                    found = _best_clique(g.adj, degs, r, abort_above=cutoff, within=within)
+                    assert found == (None if sums and value > cutoff else (value, first)), (n, r, cutoff)
