@@ -31,7 +31,7 @@ from .extremal import (
     stability_experiment,
     verify_all,
 )
-from .graph6 import _INTEGER, Graph6ParseError, load_graph_text
+from .graph6 import _INTEGER, load_graph_text
 from .graphs import ResourceLimitError
 from .greedy import DEFAULT_BRANCH_CAP, all_greedy_sequences, greedy_sequence
 from .cliques import max_clique_degree_sum
@@ -337,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR if exc.code else EXIT_OK
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, Graph6ParseError, ResourceLimitError, OSError) as exc:
+    except (ValueError, ResourceLimitError, OSError) as exc:
         print(f"cliquedeg: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

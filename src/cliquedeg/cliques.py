@@ -126,9 +126,10 @@ def _best_clique(
     best_bits = 0
     if r == 2:
         # pairs come in lexicographic order, so the first maximum is lex-least.  The walk
-        # of _clique_sums gives the same results, but on local search's r - 2 = 2 calls and the
-        # n <= 8 scans, which take most pairs, it raised local-search query_p50_ms 19-56%
-        # and exact-scan job_s 1-6%; it was faster only on whole graphs of 8-40 vertices
+        # of _clique_sums gives the same results, but most pairs are taken by the r = 3 scans'
+        # subtree test (extremal's beaten), up to 929 pair searches a cell, and through the
+        # walk they raised exact-scan query_p50_ms from 0.96 to 1.33-1.47 ms and local-search
+        # query_p50_ms 11-14%
         cands = (1 << len(adj)) - 1 if within is None else within
         while cands:
             a = cands & -cands

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from cliquedeg import Graph, ResourceLimitError, from_edges
+from cliquedeg import Graph, ResourceLimitError, from_edges, from_graph6, to_graph6
 
 from conftest import graphs
 
@@ -38,3 +38,7 @@ def test_structural_invariants(g):
         for v in range(g.n):
             assert (g.adj[u] >> v & 1) == (g.adj[v] >> u & 1)
     assert sum(g.degrees()) == 2 * g.m
+    # equal graphs hash equal, so a set holds a graph and its graph6 round trip once
+    back = from_graph6(to_graph6(g))
+    assert hash(back) == hash(g)
+    assert len({g, back}) == 1
