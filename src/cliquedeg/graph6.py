@@ -109,14 +109,18 @@ def _decode_rows(n: int, slots: int) -> tuple[int, ...]:
     return tuple([slots >> v * w & row for v in range(n)])
 
 
+def _size_header(n: int) -> list[str]:
+    """The graph6 size header of an n-vertex graph, one character per byte."""
+    if n <= 62:
+        return [chr(63 + n)]
+    if n <= 258047:
+        return ["~", chr(63 + (n >> 12)), chr(63 + (n >> 6 & 63)), chr(63 + (n & 63))]
+    raise ValueError(f"graph6 encoding for n={n} not supported")
+
+
 def _chunks_to_graph6(n: int, chunks: tuple[int, ...]) -> str:
     """The graph6 string of an n-vertex graph given by its column chunks."""
-    if n <= 62:
-        out = [chr(63 + n)]
-    elif n <= 258047:
-        out = ["~", chr(63 + (n >> 12)), chr(63 + (n >> 6 & 63)), chr(63 + (n & 63))]
-    else:
-        raise ValueError(f"graph6 encoding for n={n} not supported")
+    out = _size_header(n)
     bits = _render_chunks(chunks)
     bits += "0" * (-len(bits) % 6)
     out.extend(chr(63 + int(bits[k:k + 6], 2)) for k in range(0, len(bits), 6))
@@ -125,6 +129,7 @@ def _chunks_to_graph6(n: int, chunks: tuple[int, ...]) -> str:
 
 def to_graph6(g: Graph) -> str:
     """Encode a graph as a graph6 string (no trailing newline)."""
+    _size_header(g.n)  # refuse an n graph6 cannot hold before the O(n^2) column loop
     return _chunks_to_graph6(g.n, _column_chunks(g.adj, g.n))
 
 

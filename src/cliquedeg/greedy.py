@@ -22,7 +22,9 @@ r-partite threshold:
 Both checks aggregate over all tie branches by scanning prefix *sets*
 instead of ordered sequences: the candidate set and the first-r degree
 sum depend only on the set of chosen vertices, so deduplicating by set
-preserves every quantity checked while avoiding factorial blowup.
+preserves every quantity checked while avoiding factorial blowup.  The
+scan holds one level of sets at a time, and its cap counts the sets made
+over all levels.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .turan import turan_size
 
 DEFAULT_BRANCH_CAP = 100_000
 MAX_BRANCH_CAP = 1_000_000  # greedy runs all_greedy_sequences may be asked to keep
-MAX_PREFIX_SETS = 100_000  # prefix sets one prefix-set scan may keep over all levels
+MAX_PREFIX_SETS = 100_000  # prefix sets one scan may make over all levels; it holds one level
 
 
 class PreconditionError(ValueError):
@@ -148,21 +150,21 @@ def _prefix_search(
     adj: tuple[int, ...] | list[int],
     degs: tuple[int, ...] | list[int],
     r: int,
-) -> tuple[Optional[int], Optional[int], Optional[int], list[dict[int, tuple[int, int]]]]:
-    """Scan all tie branches to depth r by deduplicating prefix sets.
+) -> tuple[Optional[int], Optional[int], Optional[int], dict[int, tuple[int, int]]]:
+    """Scan all tie branches to depth r by deduplicating prefix sets, level by level.
 
-    Returns (shortest_stop, min_sum, max_sum, levels) where shortest_stop
+    Returns (shortest_stop, min_sum, max_sum, level) where shortest_stop
     is the length of the shortest maximal sequence that stops before r
     vertices (None when every branch reaches depth r), min_sum/max_sum
     range over the first-r degree sums of branches that reach depth r
-    (None when none does), and levels[k] maps each k-vertex set that some
-    branch chooses first to (candidates, degree sum).  Raises
-    ResourceLimitError once the kept sets would exceed MAX_PREFIX_SETS.
+    (None when none does), and level maps each set of the deepest level
+    reached to (candidates, degree sum).  Only the current level is held;
+    ResourceLimitError is raised once the sets made over all levels would
+    exceed MAX_PREFIX_SETS.
     """
     n = len(adj)
     classes = _degree_classes(degs)
     level: dict[int, tuple[int, int]] = {0: ((1 << n) - 1, 0)}
-    levels = [level]
     room = MAX_PREFIX_SETS - 1
     shortest_stop: Optional[int] = None
     for depth in range(r):
@@ -185,12 +187,11 @@ def _prefix_search(
                     f"greedy prefix-set scan exceeded {MAX_PREFIX_SETS} kept sets"
                 )
         if not nxt:
-            return shortest_stop, None, None, levels
+            return shortest_stop, None, None, level
         room -= len(nxt)
         level = nxt
-        levels.append(level)
     sums = [acc for (_, acc) in level.values()]
-    return shortest_stop, min(sums), max(sums), levels
+    return shortest_stop, min(sums), max(sums), level
 
 
 def greedy_prefix_extremes(
@@ -201,25 +202,6 @@ def greedy_prefix_extremes(
     """Kernel: (shortest_stop, min_sum, max_sum) of the prefix-set scan to depth r,
     as ``_prefix_search`` defines them."""
     return _prefix_search(adj, degs, r)[:3]
-
-
-def _best_run(levels: list[dict[int, tuple[int, int]]], degs, best_sum: int) -> tuple[int, ...]:
-    """One greedy run whose first-r degree sum is ``best_sum``: the least final
-    set with that sum, unwound through the least parent set of each set."""
-    classes = _degree_classes(degs)
-    state = min(s for s, (_, acc) in levels[-1].items() if acc == best_sum)
-    run = []
-    for prev in reversed(levels[:-1]):
-        # v was a greedy choice at parent iff it is among parent's top
-        # candidates.  Dropping higher vertices first visits the parents in
-        # increasing order.
-        for v in sorted(_bits(state), reverse=True):
-            parent = state ^ 1 << v
-            if parent in prev and _top(prev[parent][0], classes)[1] >> v & 1:
-                break
-        run.append(v)
-        state = parent
-    return tuple(reversed(run))
 
 
 def _floor_failure(
@@ -327,14 +309,24 @@ class MeanCheckReport:
 
 def check_mean_bound(g: Graph, r: int) -> MeanCheckReport:
     """Check that the best first-r degree sum X over all tie branches satisfies
-    X*n >= 2rm, strictly when the graph is not regular.  Integer arithmetic only."""
+    X*n >= 2rm, strictly when the graph is not regular.  Integer arithmetic only.
+    When it passes, the witness is the least set with sum X in falling degree
+    order, ties by lowest index."""
     _require_threshold(g, r)
     degs = g.degrees()
-    _, min_sum, max_sum, levels = _prefix_search(g.adj, degs, r)
+    _, min_sum, max_sum, level = _prefix_search(g.adj, degs, r)
     regular = min(degs) == max(degs)
     failure = _mean_failure(g.n, g.m, r, regular, max_sum)
     ok = failure is None
-    witness = _best_run(levels, degs, max_sum) if ok else None
+    witness = None
+    if ok:
+        # That order is a run.  A run's degrees never rise, and if some run
+        # reaches a set S, so does every order of S by falling degree: after
+        # any such prefix, the candidates lie inside those left after S's
+        # higher-degree vertices, whose top degree is the next degree in S.
+        # Unwinding S by its highest-index vertex of least degree gives it.
+        best = min(s for s, (_, acc) in level.items() if acc == max_sum)
+        witness = tuple(sorted(_bits(best), key=lambda v: (-degs[v], v)))
     return MeanCheckReport(
         n=g.n,
         m=g.m,

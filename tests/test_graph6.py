@@ -1,4 +1,5 @@
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -78,6 +79,16 @@ def test_long_size_header():
         assert code.startswith("~")
         assert from_graph6(code) == g
         _assert_matches_networkx(n, edges)
+
+
+def test_encoder_refuses_n_before_work():
+    # graph6 holds at most 258047 vertices; the refusal comes before the O(n^2) column loop
+    n = 258048
+    g = Graph._raw(n, (0,) * n, 0)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"graph6 encoding for n={n} not supported"):
+        to_graph6(g)
+    assert time.perf_counter() - start < 1
 
 
 def test_decoder_matches_longhand_oracle():

@@ -28,6 +28,8 @@ def test_graph_constructor_validates():
     assert from_edges(2, [(0, 1), (1, 0), (0, 1)]).m == 1  # duplicates merged
     g = Graph(3, (0b010, 0b101, 0b010))  # path 0-1-2
     assert g.m == 2
+    assert repr(g) == "Graph(n=3, m=2)"
+    assert g != "0-1-2"
 
 
 @settings(max_examples=150, deadline=None)

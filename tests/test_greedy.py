@@ -266,7 +266,7 @@ def test_check_reports_carry_the_failure(monkeypatch):
 
     c4 = from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     monkeypatch.setattr(greedy, "greedy_prefix_extremes", lambda adj, degs, r: (1, None, None))
-    monkeypatch.setattr(greedy, "_prefix_search", lambda adj, degs, r: (1, None, None, []))
+    monkeypatch.setattr(greedy, "_prefix_search", lambda adj, degs, r: (1, None, None, {}))
     floor = check_floor_bound(c4, 2)
     assert not floor.ok and floor.failure == _floor_failure(4, 4, 2, 4, 1, None)
     mean = check_mean_bound(c4, 2)
@@ -285,14 +285,38 @@ def test_check_preconditions():
         check_floor_bound(from_edges(4, slot_pairs(4)), 1)  # r < 2
 
 
+def _check_mean_witness(g):
+    n, edges = g.n, list(g.edges())
+    runs = naive_greedy_sequences(n, edges)
+    deg = naive_degrees(n, edges)
+    for r in range(2, n + 1):
+        if g.m < turan_size(r, n):
+            continue
+        rep = check_mean_bound(g, r)
+        firsts = {frozenset(s[:r]) for s in runs if len(s) >= r}
+        sums = {f: sum(deg[v] for v in f) for f in firsts}
+        best = max(sums.values())
+        # the least best set as a bit mask, listed by falling degree, ties by lowest index
+        least = min((f for f in firsts if sums[f] == best), key=lambda f: sum(1 << v for v in f))
+        expect = tuple(sorted(least, key=lambda v: (-deg[v], v)))
+        got = (rep.ok, rep.best_first_r_sum, rep.witness)
+        assert got == (True, best, expect), (to_graph6(g), r)
+        assert any(s[:r] == expect for s in runs), (to_graph6(g), r)
+
+
 def test_mean_witness_is_a_valid_greedy_prefix():
-    g = from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (3, 4), (0, 4)])
-    rep = check_mean_bound(g, 2)
-    assert rep.ok
-    branches = all_greedy_sequences(g)
-    assert any(s.vertices[: len(rep.witness)] == rep.witness for s in branches)
-    best = max(s.degree_sums[1] for s in branches if len(s.vertices) >= 2)
-    assert rep.best_first_r_sum == best
+    # every graph on up to 6 vertices, then seeded random graphs on 7
+    for n in range(2, 7):
+        pairs = slot_pairs(n)
+        for mask in range(2 ** len(pairs)):
+            edges = [p for k, p in enumerate(pairs) if mask >> k & 1]
+            if len(edges) >= turan_size(2, n):
+                _check_mean_witness(from_edges(n, edges))
+    rng = random.Random(7)
+    pairs = slot_pairs(7)
+    for _ in range(300):
+        density = 0.5 + rng.random() / 2
+        _check_mean_witness(from_edges(7, [p for p in pairs if rng.random() < density]))
 
 
 @settings(max_examples=120, deadline=None)
