@@ -34,6 +34,12 @@ Each (n, m, r) cell is one scan in one process; ``scan_m`` spreads whole
 cells over its workers, so no record depends on the worker count.
 Canonical forms, for canonical-mode verify only, come from ``canonical``;
 local search breaks its ties by the labeled adjacency rows at every n.
+
+``verify_all`` walks each (n, m) once, and its band cells ride the greedy
+pass through ``_cell_min_step``, the per-labeling step of every exact cell.
+It skips that step where a labeling's greedy best sum has reached the
+cell's ceiling: a greedy run's first r vertices are an r-clique, so the
+kernel would abort there, and the records stay the scans' own.
 """
 
 from __future__ import annotations
@@ -127,8 +133,8 @@ def _least_adjs(
     The same two lists are yielded every time; a caller that keeps a graph
     copies it.
 
-    ``ceiling``, a one-item list the consumer may lower between yields
-    (default None: every labeling), turns the kernel's floor around: a
+    ``ceiling``, a list whose first item the consumer may lower between
+    yields (default None: every labeling), turns the kernel's floor around: a
     subtree is skipped when each graph in it has an r-clique of degree sum
     at least ``ceiling[0]``.  Placed edges are final and degrees only grow,
     so once column j is placed with lower neighbours B (k = |B|), an
@@ -241,6 +247,18 @@ def _check_cells(
             raise ValueError(f"edge count {m} outside 0..{nslots}")
 
 
+def _cell_min_step(best: list, adj: list[int], degs: list[int], r: int) -> bool:
+    """One labeling of an exact cell: ``best`` is [least value so far, its
+    column chunks], and the kernel aborts unless the labeling goes below it.
+    Labelings come in ascending encoding order, so taking only new bests
+    keeps the first minimizer.  Returns whether ``best`` was lowered."""
+    val = max_degree_sum_value(adj, degs, r, abort_above=best[0] - 1)
+    if val is None:
+        return False
+    best[:] = val, _column_chunks(adj, len(adj))
+    return True
+
+
 def extremal_degree_sum_min(n: int, m: int, r: int, mode: str = "exhaustive") -> ScanRecord:
     """Exact minimum over all labeled (n, m)-graphs of the max r-clique degree sum.
 
@@ -250,25 +268,22 @@ def extremal_degree_sum_min(n: int, m: int, r: int, mode: str = "exhaustive") ->
     ones, which include that least relabeling.  They come in ascending
     encoding order, so the first minimizer met is the least, and the kernel
     aborts on every graph that cannot beat the best so far: any value it
-    returns is a new best.  That best is also the generator's ceiling, so
-    for r <= 3 the generator skips the subtrees at columns n - 2 and n - 1
-    whose every graph the kernel would abort on.  Before the first best the
-    ceiling is 2m + 1, above every value (the sum of all m edges' end
-    degrees): nothing is skipped, an abort above 2m is no abort, and the
-    first labeling, which every cell has, is the first best.  The
-    scan stops at its first value 0, below which nothing lies: a graph with
-    no r-clique, which every cell with m <= t_{r-1}(n) or r > n holds (for
-    r = 1, only m = 0).
+    returns is a new best (``_cell_min_step``).  That best is also the
+    generator's ceiling, so for r <= 3 the generator skips the subtrees at
+    columns n - 2 and n - 1 whose every graph the kernel would abort on.
+    Before the first best the ceiling is 2m + 1, above every value (the sum
+    of all m edges' end degrees): nothing is skipped, an abort above 2m is
+    no abort, and the first labeling, which every cell has, is the first
+    best.  The scan stops at its first value 0, below which nothing lies: a
+    graph with no r-clique, which every cell with m <= t_{r-1}(n) or r > n
+    holds (for r = 1, only m = 0).
     """
     _check_cells(n, r, (m,), mode, EXACT_MODES)
-    ceiling = [2 * m + 1]
-    for adj, degs in _least_adjs(n, m, r, ceiling):
-        val = max_degree_sum_value(adj, degs, r, abort_above=ceiling[0] - 1)
-        if val is not None:
-            ceiling[0], chunks = val, _column_chunks(adj, n)
-            if not val:
-                break
-    return _make_record(n, m, r, mode, ceiling[0], chunks, math.comb(n * (n - 1) // 2, m))
+    best = [2 * m + 1, ()]  # its first item is the generator's ceiling
+    for adj, degs in _least_adjs(n, m, r, best):
+        if _cell_min_step(best, adj, degs, r) and not best[0]:
+            break
+    return _make_record(n, m, r, mode, *best, math.comb(n * (n - 1) // 2, m))
 
 
 # ---------------------------------------------------------------------------
@@ -698,9 +713,12 @@ def verify_all(
     shortest stop, the least and greatest first-r sums over all tie
     branches, regularity), and the least labeling of every graph is
     swap-least, so every graph that fails a check is reported: once per
-    swap-least labeling in exhaustive mode.  Each cell's record is the
-    scans' own, from ``extremal_degree_sum_min``, judged by
-    ``band_violation``, and a band violation carries its witness.
+    swap-least labeling in exhaustive mode.  The band cells ride the same
+    walk through ``_cell_min_step``, skipping it where the greedy best sum
+    has reached the cell's ceiling, on which the kernel would abort.  So
+    each record is the scans' own: in canonical mode too, as the first
+    minimizer, the least encoding of its graph, is its canonical form.  It
+    is judged by ``band_violation``, and a band violation carries its witness.
     graphs_examined counts (graph, r) incidences, each graph once per clique
     size it is checked against: the C(N, m) labeled graphs of a cell,
     counted as the scans count them, or its classes in canonical mode.
@@ -738,16 +756,18 @@ def verify_all(
         rs = [r for r in rs_all if r <= n]
         if not rs:
             continue
+        nslots = n * (n - 1) // 2
         thresholds = {r: turan_size(r, n) for r in rs}
-        for m in range(min(thresholds.values()), n * (n - 1) // 2 + 1):
+        for m in range(min(thresholds.values()), nslots + 1):
             active = [r for r in rs if thresholds[r] <= m]
+            bests = [[2 * m + 1, ()] for _ in active]  # as in extremal_degree_sum_min
             kept = 0
             for adj, degs in _least_adjs(n, m):
                 if mode == "canonical" and _canonical_chunks(adj, n) != _column_chunks(adj, n):
                     continue  # not the representative of its isomorphism class
                 kept += 1
                 regular = min(degs) == max(degs)
-                for r in active:
+                for r, best in zip(active, bests):
                     shortest, min_sum, max_sum = greedy_prefix_extremes(adj, degs, r)
                     problems = (
                         _floor_failure(n, m, r, thresholds[r], shortest, min_sum),
@@ -756,9 +776,13 @@ def verify_all(
                     for problem in filter(None, problems):
                         g6 = _chunks_to_graph6(n, _column_chunks(adj, n))
                         found(n, m, r, "greedy", problem, g6)
-            for r in active:
+                    # a greedy run's first r vertices are an r-clique, so once
+                    # max_sum reaches the ceiling the kernel would abort here
+                    if max_sum is None or max_sum < best[0]:
+                        _cell_min_step(best, adj, degs, r)
+            for r, best in zip(active, bests):
                 cells += 1
-                rec = extremal_degree_sum_min(n, m, r, mode=mode)
+                rec = _make_record(n, m, r, mode, *best, math.comb(nslots, m))
                 graphs_examined += rec.graphs_examined if mode == "exhaustive" else kept
                 if problem := band_violation(rec):
                     found(n, m, r, "band", problem, rec.witness_g6)

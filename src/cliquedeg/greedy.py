@@ -23,8 +23,10 @@ Both checks aggregate over all tie branches by scanning prefix *sets*
 instead of ordered sequences: the candidate set and the first-r degree
 sum depend only on the set of chosen vertices, so deduplicating by set
 preserves every quantity checked while avoiding factorial blowup.  The
-scan holds one level of sets at a time, and its cap counts the sets made
-over all levels.
+scan holds one level of sets at a time, up to depth r - 1, and reads the
+sums and the mean check's witness of depth r off that level: the last
+level is counted but never held.  The cap counts the sets made over all
+levels, the last included.
 """
 
 from __future__ import annotations
@@ -146,28 +148,36 @@ def _walk(memo, out, state, vertices, sums, total) -> None:
         _walk(memo, out, state | 1 << v, vertices + (v,), sums + (total,), total)
 
 
+def _over_cap() -> ResourceLimitError:
+    return ResourceLimitError(f"greedy prefix-set scan exceeded {MAX_PREFIX_SETS} kept sets")
+
+
 def _prefix_search(
     adj: tuple[int, ...] | list[int],
     degs: tuple[int, ...] | list[int],
     r: int,
-) -> tuple[Optional[int], Optional[int], Optional[int], dict[int, tuple[int, int]]]:
+) -> tuple[Optional[int], Optional[int], Optional[int], Optional[int]]:
     """Scan all tie branches to depth r by deduplicating prefix sets, level by level.
 
-    Returns (shortest_stop, min_sum, max_sum, level) where shortest_stop
+    Returns (shortest_stop, min_sum, max_sum, best) where shortest_stop
     is the length of the shortest maximal sequence that stops before r
     vertices (None when every branch reaches depth r), min_sum/max_sum
-    range over the first-r degree sums of branches that reach depth r
-    (None when none does), and level maps each set of the deepest level
-    reached to (candidates, degree sum).  Only the current level is held;
+    range over the first-r degree sums of branches that reach depth r, and
+    best is the least set of depth r with sum max_sum, as a bit mask (all
+    three None when none does).  Levels up to r - 1 are held one at a
+    time, and the last is read off level r - 1: a set S there with
+    candidates grows into the sets S | b, b in its top class, all with S's
+    sum plus the top degree, the least being S | b for the lowest b.
     ResourceLimitError is raised once the sets made over all levels would
-    exceed MAX_PREFIX_SETS.
+    exceed MAX_PREFIX_SETS; the last level's sets are counted only when the
+    sizes of the top classes add up to more than the room left.
     """
     n = len(adj)
     classes = _degree_classes(degs)
     level: dict[int, tuple[int, int]] = {0: ((1 << n) - 1, 0)}
     room = MAX_PREFIX_SETS - 1
     shortest_stop: Optional[int] = None
-    for depth in range(r):
+    for depth in range(r - 1):
         nxt: dict[int, tuple[int, int]] = {}
         for state, (cand, acc) in level.items():
             if not cand:
@@ -183,15 +193,34 @@ def _prefix_search(
                 if ns not in nxt:
                     nxt[ns] = (cand & adj[b.bit_length() - 1], acc)
             if len(nxt) > room:
-                raise ResourceLimitError(
-                    f"greedy prefix-set scan exceeded {MAX_PREFIX_SETS} kept sets"
-                )
+                raise _over_cap()
         if not nxt:
-            return shortest_stop, None, None, level
+            return shortest_stop, None, None, None
         room -= len(nxt)
         level = nxt
-    sums = [acc for (_, acc) in level.values()]
-    return shortest_stop, min(sums), max(sums), level
+    min_sum = max_sum = best = None
+    made = 0  # the last level's sets, counted once per set of level r - 1 that makes them
+    for state, (cand, acc) in level.items():
+        if not cand:
+            if shortest_stop is None:
+                shortest_stop = r - 1
+            continue
+        d, top = _top(cand, classes)
+        made += top.bit_count()
+        acc += d
+        ns = state | top & -top
+        if max_sum is None or acc > max_sum or acc == max_sum and ns < best:
+            max_sum, best = acc, ns
+        if min_sum is None or acc < min_sum:
+            min_sum = acc
+    if made > room:
+        last: set[int] = set()
+        for state, (cand, _) in level.items():
+            if cand:
+                last.update(state | 1 << v for v in _bits(_top(cand, classes)[1]))
+                if len(last) > room:
+                    raise _over_cap()
+    return shortest_stop, min_sum, max_sum, best
 
 
 def greedy_prefix_extremes(
@@ -314,7 +343,7 @@ def check_mean_bound(g: Graph, r: int) -> MeanCheckReport:
     order, ties by lowest index."""
     _require_threshold(g, r)
     degs = g.degrees()
-    _, min_sum, max_sum, level = _prefix_search(g.adj, degs, r)
+    _, min_sum, max_sum, best = _prefix_search(g.adj, degs, r)
     regular = min(degs) == max(degs)
     failure = _mean_failure(g.n, g.m, r, regular, max_sum)
     ok = failure is None
@@ -325,7 +354,6 @@ def check_mean_bound(g: Graph, r: int) -> MeanCheckReport:
         # any such prefix, the candidates lie inside those left after S's
         # higher-degree vertices, whose top degree is the next degree in S.
         # Unwinding S by its highest-index vertex of least degree gives it.
-        best = min(s for s, (_, acc) in level.items() if acc == max_sum)
         witness = tuple(sorted(_bits(best), key=lambda v: (-degs[v], v)))
     return MeanCheckReport(
         n=g.n,

@@ -942,6 +942,35 @@ def test_verify_canonical_n7_matches_exhaustive_band_cells(monkeypatch):
     assert seen["canonical"] == seen["exhaustive"]
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "canonical"])
+def test_verify_band_records_match_the_scans(mode, monkeypatch):
+    """Verify's band cells ride its greedy walk and skip the kernel where the
+    greedy best sum has reached the ceiling; every record it judges is still
+    the scan's own, witness included."""
+    import cliquedeg.extremal as ext
+
+    judged = []
+    judge = ext.band_violation
+
+    def band(rec):
+        judged.append(rec)
+        return judge(rec)
+
+    monkeypatch.setattr(ext, "band_violation", band)
+    rep = verify_all(7, range(2, 8), mode=mode)
+    assert rep.violations == 0
+    cells = [
+        (n, m, r)
+        for n in range(2, 8)
+        for m in range(n * (n - 1) // 2 + 1)
+        for r in range(2, n + 1)
+        if m >= turan_size(r, n)
+    ]
+    assert [(rec.n, rec.m, rec.r) for rec in judged] == cells
+    for rec in judged:
+        assert rec == extremal_degree_sum_min(rec.n, rec.m, rec.r, mode=mode)
+
+
 def _band(value: int, n: int = 4, m: int = 4, r: int = 2) -> str | None:
     rec = extremal_degree_sum_min(n, m, r)
     return band_violation(replace(rec, delta_min=value))

@@ -266,7 +266,7 @@ def test_check_reports_carry_the_failure(monkeypatch):
 
     c4 = from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     monkeypatch.setattr(greedy, "greedy_prefix_extremes", lambda adj, degs, r: (1, None, None))
-    monkeypatch.setattr(greedy, "_prefix_search", lambda adj, degs, r: (1, None, None, {}))
+    monkeypatch.setattr(greedy, "_prefix_search", lambda adj, degs, r: (1, None, None, None))
     floor = check_floor_bound(c4, 2)
     assert not floor.ok and floor.failure == _floor_failure(4, 4, 2, 4, 1, None)
     mean = check_mean_bound(c4, 2)
